@@ -10,11 +10,9 @@ from .harness import (EvalReport, MetricsRecord, TrainConfig, TrainResult,
                       load_checkpoint, meta_test, run_gradient_checks,
                       save_checkpoint, train)
 from .model import (DiscriminatorParams, EpisodeMetrics, GeneratorParams,
-                    ModelConfig, RidgeClassifier, disc_loss, discriminate,
-                    encode, episode_update, fuse, fuse_concat, gen_loss,
-                    generate_attention, ridge_fit, ridge_predict)
+                    ModelConfig, RidgeClassifier, encode, episode_update, fuse,
+                    fuse_concat, generate_attention, ridge_fit, ridge_predict)
 from .nn import (AdamState, LstmParams, NumericalError, Param, adam_step,
-                 bilstm_forward, cross_entropy, ffn_forward, grad_check,
-                 lstm_cell, matmul, softmax)
+                 bilstm_forward, ffn_forward, grad_check, softmax)
 
 __version__ = "0.1.0"

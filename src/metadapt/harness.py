@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model, nn
-from .corpus import ClassSplit, Dataset, EmbeddingTable, Example, Vocab, make_dataset
+from .corpus import (ClassSplit, DataError, Dataset, EmbeddingTable, Example, Vocab,
+                     make_dataset)
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .model import DiscriminatorParams, GeneratorParams, ModelConfig
 from .nn import AdamState, NumericalError
@@ -109,8 +110,9 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
     best-validation parameters are kept; training stops once validation
     accuracy has not improved for ``patience`` consecutive epochs.
 
-    A non-finite loss aborts with a diagnostic checkpoint rather than being
-    skipped.  ``clock`` supplies wall-time stamps for the metrics records.
+    A non-finite loss, or a NumericalError raised inside an episode update,
+    aborts with a diagnostic checkpoint rather than being skipped.  ``clock``
+    supplies wall-time stamps for the metrics records.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -142,22 +144,26 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
             for j in range(cfg.episodes_per_epoch):
                 ep = sample_episode(dataset, split.train_classes, cfg.spec, train_rng,
                                     source_excludes=cfg.source_excludes)
-                m = model.episode_update(ep, gen, disc, model_cfg, table, opt_gen, opt_disc)
-                rec = MetricsRecord(epoch=epoch, episode=j, ridge_loss=m.ridge_loss,
-                                    disc_loss=m.disc_loss, gen_loss=m.gen_loss,
-                                    query_accuracy=m.query_accuracy,
-                                    wall_time=clock() - t0)
-                history.append(rec)
-                if metrics_fh:
-                    metrics_fh.write(json.dumps(rec.to_dict()) + "\n")
-                if not all(math.isfinite(v) for v in
-                           (m.ridge_loss, m.disc_loss, m.gen_loss)):
-                    msg = f"non-finite loss at epoch {epoch} episode {j}"
+                try:
+                    m = model.episode_update(ep, gen, disc, model_cfg, table,
+                                             opt_gen, opt_disc)
+                    rec = MetricsRecord(epoch=epoch, episode=j, ridge_loss=m.ridge_loss,
+                                        disc_loss=m.disc_loss, gen_loss=m.gen_loss,
+                                        query_accuracy=m.query_accuracy,
+                                        wall_time=clock() - t0)
+                    history.append(rec)
+                    if metrics_fh:
+                        metrics_fh.write(json.dumps(rec.to_dict()) + "\n")
+                    if not all(math.isfinite(v) for v in
+                               (m.ridge_loss, m.disc_loss, m.gen_loss)):
+                        raise NumericalError("non-finite loss")
+                except NumericalError as exc:
+                    msg = f"{exc} at epoch {epoch} episode {j}"
                     if out is not None:
-                        _save_params(out / "diagnostic_checkpoint.json", gen, disc,
-                                     model_cfg)
+                        save_checkpoint(out / "diagnostic_checkpoint.json", gen, disc,
+                                        model_cfg)
                         msg += "; diagnostic checkpoint written"
-                    raise NumericalError(msg)
+                    raise NumericalError(msg) from exc
             epochs_run = epoch + 1
 
             # same validation episodes every epoch, so accuracies are comparable
@@ -424,22 +430,36 @@ def run_gradient_checks(seed: int = 0, n_coords: int = 200) -> dict[str, float]:
 # checkpoints
 
 
-def _save_params(path, gen, disc, model_cfg):
-    arrays = dict(gen.named_arrays())
-    arrays.update(disc.named_arrays())
-    nn.save_arrays(path, arrays, config=model_cfg.to_dict())
-
-
 def save_checkpoint(path, gen: GeneratorParams, disc: DiscriminatorParams,
                     model_cfg: ModelConfig):
     """Write generator + discriminator + config as a named-array container."""
-    _save_params(path, gen, disc, model_cfg)
+    nn.save_arrays(path, {**gen.named_arrays(), **disc.named_arrays()},
+                   config=model_cfg.to_dict())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (gen, disc, model_cfg)."""
+    """Read a checkpoint; returns (gen, disc, model_cfg).
+
+    The arrays must carry exactly the names and shapes of freshly initialised
+    parameters for the stored config; anything else raises DataError.
+    """
     arrays, config = nn.load_arrays(path)
-    model_cfg = ModelConfig.from_dict(config)
+    try:
+        model_cfg = ModelConfig.from_dict(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad model config: {exc!r}") from None
+    rng = np.random.default_rng(0)
+    template = {**GeneratorParams.init(model_cfg, rng).named_arrays(),
+                **DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden,
+                                           rng).named_arrays()}
+    for name in sorted(template.keys() | arrays.keys()):
+        if name not in arrays:
+            raise DataError(f"{path}: missing array {name}")
+        if name not in template:
+            raise DataError(f"{path}: unexpected array {name}")
+        if arrays[name].shape != template[name].shape:
+            raise DataError(f"{path}: array {name} has shape {arrays[name].shape}, "
+                            f"its config needs {template[name].shape}")
     gen = GeneratorParams.from_named_arrays(arrays)
     disc = DiscriminatorParams.from_named_arrays(arrays)
     return gen, disc, model_cfg

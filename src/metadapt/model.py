@@ -339,53 +339,18 @@ def ridge_predict(clf: RidgeClassifier, s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# discriminator and losses
+# domain loss
 
 
-def discriminate(s: np.ndarray, disc: DiscriminatorParams) -> np.ndarray:
-    """Probability pair (query, source) for one embedding."""
-    return nn.softmax(nn.ffn_forward(s, disc.layers))
+def domain_loss(x: np.ndarray, labels, disc: DiscriminatorParams):
+    """Cross-entropy of the discriminator's domain predictions on embeddings
+    ``x`` (n, d), query rows labelled 0 and source rows 1, averaged over rows.
 
-
-def disc_loss(query_embs, source_embs, disc: DiscriminatorParams,
-              allow_size_mismatch: bool = False) -> float:
-    """Binary cross-entropy of the domain game, averaged over all samples.
-
-    Source embeddings carry label 1, query embeddings label 0.
+    Returns (loss, d loss / d logits, ffn cache for ``nn.ffn_backward``).
     """
-    nq, ns = len(query_embs), len(source_embs)
-    if nq == 0 or ns == 0:
-        raise ValueError("disc_loss needs non-empty query and source batches")
-    if nq != ns and not allow_size_mismatch:
-        raise ValueError(f"query/source size mismatch: {nq} vs {ns}")
-    total = 0.0
-    for e in query_embs:
-        total += nn.cross_entropy(nn.ffn_forward(e, disc.layers), 0)
-    for e in source_embs:
-        total += nn.cross_entropy(nn.ffn_forward(e, disc.layers), 1)
-    return total / (nq + ns)
-
-
-def gen_loss(query_items, source_examples, clf: RidgeClassifier,
-             gen: GeneratorParams, disc: DiscriminatorParams,
-             cfg: ModelConfig, table: EmbeddingTable) -> float:
-    """Generator objective: mean query cross-entropy (ridge scores as logits)
-    minus the discriminator loss over (query, source).
-
-    ``query_items`` is a sequence of (Example, local label); the classifier
-    must already be fit on the episode's support set.
-    """
-    if clf is None:
-        raise ValueError("classifier has not been fit for this episode")
-    q_feats, ce = [], 0.0
-    for ex, y in query_items:
-        f, _ = gen_forward(embed_sentence(ex, table), gen, cfg)
-        q_feats.append(f)
-        ce += nn.cross_entropy(ridge_predict(clf, with_bias(f)), y)
-    ce /= len(q_feats)
-    s_feats = [gen_forward(embed_sentence(ex, table), gen, cfg)[0]
-               for ex in source_examples]
-    return ce - disc_loss(q_feats, s_feats, disc)
+    logits, cache = nn.ffn_forward_cached(x, disc.layers)
+    loss, dlogits = nn.softmax_cross_entropy(logits, labels)
+    return loss, dlogits, cache
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +389,9 @@ def episode_forward(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
     for ex, y in episode.query:
         query.append(gen_forward(embed_sentence(ex, table), gen, cfg))
         qry_y.append(y)
-    source = [gen_forward(embed_sentence(ex, table), gen, cfg)
-              for ex in episode.source]
+    # the plain-encoder ablation never reads the source set
+    source = [] if cfg.no_adversarial else [
+        gen_forward(embed_sentence(ex, table), gen, cfg) for ex in episode.source]
     return EpisodeForward(
         support_feats=sup_feats, support_labels=np.asarray(sup_y, dtype=np.intp),
         query=query, query_labels=np.asarray(qry_y, dtype=np.intp),
@@ -441,23 +407,32 @@ def fit_episode_classifier(fwd: EpisodeForward, lam: float):
     return clf, ridge_loss(X, Y, clf)
 
 
+def _domain_batch(fwd: EpisodeForward):
+    """Query features stacked on source features, with their domain labels."""
+    if not fwd.source:
+        raise ValueError("episode has no source set")
+    x = np.vstack([f for f, _ in fwd.query] + [f for f, _ in fwd.source])
+    labels = np.repeat(np.arange(2), [len(fwd.query), len(fwd.source)])
+    return x, labels
+
+
+def _score_query(fwd: EpisodeForward, clf: RidgeClassifier):
+    """Ridge scores of the query set (one row per query) and its accuracy.
+
+    Each row is its own vector-matrix product: a single matrix product
+    rounds differently and would change training in the last bits.
+    """
+    scores = np.stack([ridge_predict(clf, with_bias(f)) for f, _ in fwd.query])
+    correct = int((np.argmax(scores, axis=1) == fwd.query_labels).sum())
+    return scores, correct / len(fwd.query)
+
+
 def discriminator_loss_and_grads(fwd: EpisodeForward, disc: DiscriminatorParams) -> float:
     """Domain loss over the episode's query+source embeddings, with analytic
     gradients accumulated into the discriminator (generator held fixed)."""
-    if not fwd.source:
-        raise ValueError("episode has no source set")
     for p in disc.params():
         p.zero_grad()
-    x = np.vstack([f for f, _ in fwd.query] + [f for f, _ in fwd.source])
-    n = x.shape[0]
-    labels = np.concatenate([np.zeros(len(fwd.query), dtype=np.intp),
-                             np.ones(len(fwd.source), dtype=np.intp)])
-    logits, cache = nn.ffn_forward_cached(x, disc.layers)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(p[np.arange(n), labels])))
-    dlogits = (p - nn.one_hot(labels, 2)) / n
+    loss, dlogits, cache = domain_loss(*_domain_batch(fwd), disc)
     nn.ffn_backward(dlogits, cache, disc.layers)
     return loss
 
@@ -477,46 +452,20 @@ def generator_loss_and_grads(fwd: EpisodeForward, clf: RidgeClassifier,
     discriminator held fixed).  Returns (loss, query accuracy)."""
     for p in gen.params():
         p.zero_grad()
-    nq = len(fwd.query)
-    ce_sum = 0.0
-    correct = 0
-    dfeats_q = []
-    for j, (f, _) in enumerate(fwd.query):
-        scores = ridge_predict(clf, with_bias(f))
-        y = int(fwd.query_labels[j])
-        ce_sum += nn.cross_entropy(scores, y)
-        correct += int(np.argmax(scores) == y)
-        dscores = nn.cross_entropy_grad(scores, y) / nq
-        dfeats_q.append(clf.theta[:-1] @ dscores)
-    loss = ce_sum / nq
-
-    dfeats_s = None
+    scores, acc = _score_query(fwd, clf)
+    loss, dscores = nn.softmax_cross_entropy(scores, fwd.query_labels)
+    dfeats = [clf.theta[:-1] @ d for d in dscores]  # per row, as in _score_query
+    caches = [c for _, c in fwd.query]
     if not cfg.no_adversarial:
-        if not fwd.source:
-            raise ValueError("episode has no source set")
-        x = np.vstack([f for f, _ in fwd.query] + [f for f, _ in fwd.source])
-        n = x.shape[0]
-        labels = np.concatenate([np.zeros(nq, dtype=np.intp),
-                                 np.ones(len(fwd.source), dtype=np.intp)])
-        logits, cache = nn.ffn_forward_cached(x, disc.layers)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        l_d = float(-np.mean(np.log(p[np.arange(n), labels])))
+        l_d, dlogits, cache = domain_loss(*_domain_batch(fwd), disc)
         loss -= l_d
         # minus sign: the generator maximizes the discriminator's loss
-        dlogits = -(p - nn.one_hot(labels, 2)) / n
-        dx = nn.ffn_backward(dlogits, cache, disc.layers, update_grads=False)
-        for j in range(nq):
-            dfeats_q[j] = dfeats_q[j] + dx[j]
-        dfeats_s = dx[nq:]
-
-    for j, (_, cache_j) in enumerate(fwd.query):
-        gen_backward(dfeats_q[j], cache_j, gen, cfg)
-    if dfeats_s is not None:
-        for i, (_, cache_i) in enumerate(fwd.source):
-            gen_backward(dfeats_s[i], cache_i, gen, cfg)
-    return loss, correct / nq
+        dx = nn.ffn_backward(-dlogits, cache, disc.layers, update_grads=False)
+        dfeats = [d + dx[j] for j, d in enumerate(dfeats)] + list(dx[len(dfeats):])
+        caches += [c for _, c in fwd.source]
+    for d, c in zip(dfeats, caches):
+        gen_backward(d, c, gen, cfg)
+    return loss, acc
 
 
 def update_generator(fwd: EpisodeForward, clf: RidgeClassifier,
@@ -558,8 +507,4 @@ def episode_accuracy(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
     """
     fwd = episode_forward(episode, gen, cfg, table)
     clf, _ = fit_episode_classifier(fwd, cfg.lam)
-    correct = 0
-    for j, (f, _) in enumerate(fwd.query):
-        scores = ridge_predict(clf, with_bias(f))
-        correct += int(np.argmax(scores) == int(fwd.query_labels[j]))
-    return correct / len(fwd.query)
+    return _score_query(fwd, clf)[1]

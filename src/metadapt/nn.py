@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .corpus import DataError
 
@@ -70,16 +70,6 @@ def params_digest(params) -> str:
 # basic ops
 
 
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax(v, mask=None) -> np.ndarray:
     """Probability vector over unmasked positions (max-subtracted for stability).
 
@@ -109,22 +99,31 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label] in stable log-sum-exp form."""
+def softmax_cross_entropy(logits, labels):
+    """Mean cross-entropy of row-wise softmax(logits) against integer labels.
+
+    ``logits`` is (n, c).  The loss is taken in log-softmax form,
+    ``log sum exp(shifted) - shifted[label]`` with each row max-subtracted, so
+    it stays finite however far apart the logits are.  Returns
+    (mean loss, d loss / d logits = (softmax - onehot) / n).
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-D logit vector")
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    return float(logsumexp(logits) - logits[label])
-
-
-def cross_entropy_grad(logits, label: int) -> np.ndarray:
-    """d cross_entropy / d logits = softmax(logits) - onehot(label)."""
-    g = softmax(np.asarray(logits, dtype=np.float64))
-    g[int(label)] -= 1.0
-    return g
+    labels = np.asarray(labels, dtype=np.intp)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1] or labels.size == 0:
+        raise ValueError(f"softmax_cross_entropy shape mismatch: logits {logits.shape}, "
+                         f"labels {labels.shape}")
+    n, c = logits.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels out of range for {c} classes")
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    dlogits = e / total
+    dlogits[rows, labels] -= 1.0
+    dlogits /= n
+    return loss, dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +164,6 @@ class LstmParams:
     def clone(self) -> "LstmParams":
         return LstmParams(Param(self.w_x.value.copy()), Param(self.w_h.value.copy()),
                           Param(self.b.value.copy()))
-
-
-def lstm_cell(x, h_prev, c_prev, p: LstmParams):
-    """One LSTM step: returns (h, c)."""
-    H = p.hidden_size
-    a = p.w_x.value @ np.asarray(x, dtype=np.float64) \
-        + p.w_h.value @ np.asarray(h_prev, dtype=np.float64) + p.b.value
-    i = expit(a[:H])
-    f = expit(a[H:2 * H])
-    g = np.tanh(a[2 * H:3 * H])
-    o = expit(a[3 * H:])
-    c = f * np.asarray(c_prev, dtype=np.float64) + i * g
-    h = o * np.tanh(c)
-    return h, c
 
 
 def lstm_forward(X: np.ndarray, p: LstmParams):
@@ -445,7 +430,10 @@ def save_arrays(path, arrays: dict, config: dict = None):
 
 
 def load_arrays(path):
-    """Read a named-array container; returns (arrays, config)."""
+    """Read a named-array container; returns (arrays, config).
+
+    Malformed content raises DataError naming the file and the array.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -453,10 +441,15 @@ def load_arrays(path):
         raise DataError(f"cannot open checkpoint {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid checkpoint JSON: {exc.msg}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("arrays", {}), dict):
+        raise DataError(f"{path}: checkpoint is not a named-array container")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format version {version!r}")
     arrays = {}
     for name, spec in payload.get("arrays", {}).items():
-        arrays[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        try:
+            arrays[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed array {name}: {exc!r}") from None
     return arrays, payload.get("config") or {}

@@ -18,11 +18,11 @@ from metadapt.harness import (TrainConfig, gen_synthetic_corpus,
                               keyword_token_ids, meta_test,
                               run_gradient_checks, train)
 from metadapt.model import (DiscriminatorParams, GeneratorParams, ModelConfig,
-                            RidgeClassifier, attention_weights, disc_loss,
+                            RidgeClassifier, attention_weights, domain_loss,
                             episode_forward, fit_episode_classifier,
                             ridge_fit, ridge_grad, update_discriminator,
                             update_generator)
-from metadapt.nn import AdamState, cross_entropy, params_digest
+from metadapt.nn import AdamState, params_digest, softmax_cross_entropy
 
 LN2 = 0.6931471805599453
 LN5 = 1.6094379124341003
@@ -109,11 +109,14 @@ def test_criterion_2_ridge_oracle():
         X = rng.normal(size=(m, p))
         Y = nn.one_hot(rng.integers(0, n, size=m), n)
         clf = ridge_fit(X, Y, lam)
-        # independent oracle: 50k plain gradient-descent steps at 1/L
+        # independent oracle: 50k plain gradient-descent steps at 1/L, each
+        # theta <- theta - lr * grad written as theta <- M theta + c
         theta = np.zeros((p, n))
         lr = 1.0 / (np.linalg.norm(X, 2) ** 2 / m + lam)
+        M = np.eye(p) - lr * (X.T @ X / m + lam * np.eye(p))
+        c = lr * (X.T @ Y) / m
         for _ in range(50_000):
-            theta -= lr * (X.T @ (X @ theta - Y) / m + lam * theta)
+            theta = M @ theta + c
         worst_gap = max(worst_gap, float(np.abs(clf.theta - theta).max()))
         worst_grad = max(worst_grad, float(np.abs(ridge_grad(X, Y, clf)).max()))
     elapsed = time.perf_counter() - t0
@@ -200,14 +203,14 @@ def test_criterion_5_analytic_anchors(setup):
     rng = np.random.default_rng(505)
     q = [rng.normal(size=s.model_cfg.dim) for _ in range(10)]
     src = [rng.normal(size=s.model_cfg.dim) for _ in range(10)]
-    ld_gap = abs(disc_loss(q, src, disc) - LN2)
+    ld_gap = abs(domain_loss(np.vstack(q + src), [0] * 10 + [1] * 10, disc)[0] - LN2)
 
-    ce_gap = abs(cross_entropy(np.zeros(5), 3) - LN5)
+    ce_gap = abs(softmax_cross_entropy(np.zeros((1, 5)), [3])[0] - LN5)
     # and through the ridge path: a zero-weight classifier yields uniform scores
     clf = RidgeClassifier(theta=np.zeros((s.model_cfg.dim + 1, 5)), lam=1.0)
     from metadapt.model import ridge_predict, with_bias
     scores = ridge_predict(clf, with_bias(q[0]))
-    ce_gap = max(ce_gap, abs(cross_entropy(scores, 0) - LN5))
+    ce_gap = max(ce_gap, abs(softmax_cross_entropy(scores[None], [0])[0] - LN5))
 
     ok = ld_gap < 1e-9 and ce_gap < 1e-9
     check(5, ok, "|L_D - ln2| = %.1e, |CE - ln5| = %.1e" % (ld_gap, ce_gap))

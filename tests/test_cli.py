@@ -134,3 +134,43 @@ class TestExitCodes:
                    "--embeddings", str(synth_dir / "embeddings.vec"),
                    "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+
+def _drop_attn_w(payload):
+    del payload["arrays"]["gen.attn_w"]
+
+
+def _short_data(payload):
+    payload["arrays"]["gen.fwd.b"]["data"].pop()
+
+
+def _drop_lam(payload):
+    del payload["config"]["lam"]
+
+
+def _hidden_99(payload):
+    payload["config"]["hidden"] = 99
+
+
+def _widen_disc_input(payload):
+    spec = payload["arrays"]["disc.layer1.w"]
+    rows, cols = spec["shape"]
+    spec["shape"] = [rows, cols + 1]
+    spec["data"] = [v for r in range(rows)
+                    for v in spec["data"][r * cols:(r + 1) * cols] + [0.0]]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("corrupt", [_drop_attn_w, _short_data, _drop_lam, _hidden_99,
+                                         _widen_disc_input])
+    def test_data_error_exit(self, corrupt, synth_dir, trained_dir, tmp_path, capsys):
+        payload = json.loads((trained_dir / "checkpoint.json").read_text())
+        corrupt(payload)
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["eval", "--checkpoint", str(bad),
+                   "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--n-episodes", "2", "--n-way", "2", "--k-shot", "1", "--l-query", "2"])
+        assert rc == 2
+        assert "data error:" in capsys.readouterr().err

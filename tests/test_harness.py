@@ -163,6 +163,21 @@ class TestTrain:
             train(ds, split, cfg, mcfg, table, out_dir=tmp_path)
         assert (tmp_path / "diagnostic_checkpoint.json").exists()
 
+    def test_numerical_error_in_update_writes_diagnostic(self, tmp_path, monkeypatch):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+
+        def failing(*args, **kwargs):
+            raise NumericalError("non-finite inputs to ridge_fit")
+
+        import metadapt.harness as H
+        monkeypatch.setattr(H.model, "episode_update", failing)
+        cfg = TrainConfig(spec=spec, epochs=1, episodes_per_epoch=2, patience=0,
+                          seed=6, val_episodes=2, lr=0.01)
+        with pytest.raises(NumericalError, match="ridge_fit at epoch 0 episode 0"):
+            train(ds, split, cfg, mcfg, table, out_dir=tmp_path)
+        gen, disc, cfg2 = load_checkpoint(tmp_path / "diagnostic_checkpoint.json")
+        assert cfg2 == mcfg
+
     def test_no_adversarial_training_runs(self):
         ds, table, vocab, split, spec, _ = small_setup()
         mcfg = ModelConfig(dim=12, hidden=6, lam=0.5, max_len=8,

@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from metadapt import nn
-from metadapt.corpus import Example
+from metadapt import model, nn
+from metadapt.corpus import (EmbeddingTable, Example, Vocab, embed_sentence,
+                             make_dataset)
+from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt.harness import _tiny_instance, gen_synthetic_corpus
-from metadapt.model import (DiscriminatorParams, GeneratorParams, ModelConfig,
-                            RidgeClassifier, disc_loss, discriminate,
-                            discriminator_loss_and_grads, encode,
+from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams,
+                            ModelConfig, RidgeClassifier,
+                            discriminator_loss_and_grads, domain_loss, encode,
                             episode_accuracy, episode_forward, episode_update,
                             fit_episode_classifier, fuse, fuse_concat,
-                            gen_forward, gen_loss,
-                            generate_attention, generator_loss_and_grads,
-                            ridge_fit, ridge_grad, ridge_loss, ridge_predict,
-                            update_discriminator, update_generator, with_bias)
+                            gen_forward, generate_attention,
+                            generator_loss_and_grads, ridge_fit, ridge_grad,
+                            ridge_loss, ridge_predict, update_discriminator,
+                            update_generator, with_bias)
 from metadapt.nn import AdamState, LstmParams, params_digest
+from oracles import cross_entropy, disc_loss, discriminate, gen_loss
 
 LN2 = 0.6931471805599453
 LN5 = 1.6094379124341003
@@ -266,6 +269,13 @@ class TestDiscriminate:
         assert np.abs(discriminate(s, disc) - want).max() < 1e-12
 
 
+def batched_disc_loss(query_embs, source_embs, disc):
+    """domain_loss on query rows (label 0) stacked on source rows (label 1)."""
+    x = np.vstack(list(query_embs) + list(source_embs))
+    labels = [0] * len(query_embs) + [1] * len(source_embs)
+    return domain_loss(x, labels, disc)[0]
+
+
 class TestDiscLoss:
     def test_chance_discriminator_ln2(self):
         rng = np.random.default_rng(17)
@@ -273,7 +283,7 @@ class TestDiscLoss:
         disc = zero_disc(cfg)
         q = [rng.normal(size=cfg.dim) for _ in range(4)]
         s = [rng.normal(size=cfg.dim) for _ in range(4)]
-        assert abs(disc_loss(q, s, disc) - LN2) < 1e-12
+        assert abs(batched_disc_loss(q, s, disc) - LN2) < 1e-12
 
     def test_perfect_discrimination_near_zero(self):
         # craft inputs +/-u and a network that separates them with margin 50
@@ -292,7 +302,7 @@ class TestDiscLoss:
         w3.value[0, 1] = 1.0       # -u -> query logit
         q = [-u, -u]
         s = [u, u]
-        assert disc_loss(q, s, disc) < 1e-6
+        assert batched_disc_loss(q, s, disc) < 1e-6
 
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(18)
@@ -308,16 +318,18 @@ class TestDiscLoss:
             p = discriminate(e, disc)
             want += -math.log(p[1])   # source label
         want /= 10.0
-        assert abs(disc_loss(q, s, disc) - want) < 1e-12
+        assert abs(batched_disc_loss(q, s, disc) - want) < 1e-12
 
     def test_size_mismatch_default_error(self):
         cfg = small_cfg()
         disc = zero_disc(cfg)
         q = [np.zeros(cfg.dim)] * 2
         s = [np.zeros(cfg.dim)] * 3
+        # the per-sample oracle mirrors an episode's equal batches; the
+        # batched loss averages over whatever rows it is given
         with pytest.raises(ValueError, match="mismatch"):
             disc_loss(q, s, disc)
-        assert abs(disc_loss(q, s, disc, allow_size_mismatch=True) - LN2) < 1e-12
+        assert abs(batched_disc_loss(q, s, disc) - LN2) < 1e-12
 
     def test_swap_with_label_convention_identical(self):
         rng = np.random.default_rng(19)
@@ -331,8 +343,8 @@ class TestDiscLoss:
         b3.value[:] = b3.value[::-1].copy()
         # per-sample terms are bit-identical; the sum runs in a different
         # order, so allow one ulp
-        assert math.isclose(disc_loss(q, s, disc), disc_loss(s, q, swapped),
-                            rel_tol=1e-14)
+        assert math.isclose(batched_disc_loss(q, s, disc),
+                            batched_disc_loss(s, q, swapped), rel_tol=1e-14)
 
 
 class TestGenLoss:
@@ -347,7 +359,6 @@ class TestGenLoss:
                          label=j % n_way)
             items.append((ex, j % n_way))
         source = [ex for ex, _ in self.shift(items)]
-        from metadapt.corpus import EmbeddingTable
         table = EmbeddingTable(matrix=rng.normal(size=(10, cfg.dim)), dim=cfg.dim)
         return cfg, gen, items, source, table
 
@@ -355,16 +366,25 @@ class TestGenLoss:
     def shift(items):
         return items[1:] + items[:1]
 
+    @staticmethod
+    def batched(items, source, clf, gen, disc, cfg, table):
+        """generator_loss_and_grads on these query items and source set."""
+        def enc(ex):
+            return gen_forward(embed_sentence(ex, table), gen, cfg)
+        fwd = EpisodeForward(support_feats=[], support_labels=np.zeros(0, dtype=np.intp),
+                             query=[enc(ex) for ex, _ in items],
+                             query_labels=np.array([y for _, y in items]),
+                             source=[enc(ex) for ex in source], n_way=clf.theta.shape[1])
+        return generator_loss_and_grads(fwd, clf, gen, disc, cfg)[0]
+
     def test_chance_discriminator_decomposition(self):
         cfg, gen, items, source, table = self.setup_episode()
         disc = zero_disc(cfg)
         rng = np.random.default_rng(20)
         clf = RidgeClassifier(theta=rng.normal(size=(cfg.dim + 1, 5)), lam=1.0)
-        got = gen_loss(items, source, clf, gen, disc, cfg, table)
-        ce = np.mean([nn.cross_entropy(
-            ridge_predict(clf, with_bias(gen_forward(
-                __import__("metadapt.corpus", fromlist=["embed_sentence"])
-                .embed_sentence(ex, table), gen, cfg)[0])), y)
+        got = self.batched(items, source, clf, gen, disc, cfg, table)
+        ce = np.mean([cross_entropy(
+            ridge_predict(clf, with_bias(gen_forward(embed_sentence(ex, table), gen, cfg)[0])), y)
             for ex, y in items])
         assert abs(got - (ce - LN2)) < 1e-12
 
@@ -372,19 +392,18 @@ class TestGenLoss:
         cfg, gen, items, source, table = self.setup_episode(n_way=5)
         disc = zero_disc(cfg)
         clf = RidgeClassifier(theta=np.zeros((cfg.dim + 1, 5)), lam=1.0)
-        got = gen_loss(items, source, clf, gen, disc, cfg, table)
+        got = self.batched(items, source, clf, gen, disc, cfg, table)
         assert abs(got - (LN5 - LN2)) < 1e-12
 
     def test_decomposition_oracle(self):
-        from metadapt.corpus import embed_sentence
         cfg, gen, items, source, table = self.setup_episode(seed=3)
         rng = np.random.default_rng(21)
         disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
         clf = RidgeClassifier(theta=rng.normal(size=(cfg.dim + 1, 5)), lam=1.0)
-        got = gen_loss(items, source, clf, gen, disc, cfg, table)
+        got = self.batched(items, source, clf, gen, disc, cfg, table)
         q_embs = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex, _ in items]
         s_embs = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex in source]
-        ce = np.mean([nn.cross_entropy(ridge_predict(clf, with_bias(f)), y)
+        ce = np.mean([cross_entropy(ridge_predict(clf, with_bias(f)), y)
                       for f, (_, y) in zip(q_embs, items)])
         ld = disc_loss(q_embs, s_embs, disc)
         assert abs(got - (ce - ld)) < 1e-12
@@ -394,6 +413,42 @@ class TestGenLoss:
         disc = zero_disc(cfg)
         with pytest.raises(ValueError, match="fit"):
             gen_loss(items, source, None, gen, disc, cfg, table)
+
+
+def ragged_instance(seed, **cfg_kw):
+    """A 3-way 2-shot 3-query episode over sentences of 1 to 7 tokens."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocab.from_tokens([f"t{i}" for i in range(12)])
+    table = EmbeddingTable(matrix=rng.normal(size=(len(vocab), 6)), dim=6)
+    parsed = [(tuple(int(t) for t in rng.integers(0, 12, size=int(rng.integers(1, 8)))), c)
+              for c in range(6) for _ in range(6)]
+    dataset = make_dataset(parsed, [f"c{c}" for c in range(6)], vocab)
+    cfg = small_cfg(**cfg_kw)
+    episode = sample_episode(dataset, dataset.classes, EpisodeSpec(3, 2, 3), rng)
+    gen = GeneratorParams.init(cfg, rng)
+    disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
+    return episode, gen, disc, cfg, table
+
+
+class TestTrainedLossesMatchOracle:
+    """The batched losses training runs against the per-sentence oracles."""
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_losses_match_per_sentence_oracle(self, variant):
+        for seed in range(4):
+            kw = {} if variant == "default" else {variant: True}
+            episode, gen, disc, cfg, table = ragged_instance(seed, **kw)
+            assert len({len(ex.token_ids) for ex, _ in episode.query}) > 1
+            fwd = episode_forward(episode, gen, cfg, table)
+            clf, _ = fit_episode_classifier(fwd, cfg.lam)
+            got, _ = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
+            want = gen_loss(episode.query, episode.source, clf, gen, disc, cfg, table)
+            assert abs(got - want) < 1e-12
+            if cfg.no_adversarial:
+                continue
+            q = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex, _ in episode.query]
+            s = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex in episode.source]
+            assert abs(discriminator_loss_and_grads(fwd, disc) - disc_loss(q, s, disc)) < 1e-12
 
 
 class TestEpisodePhases:
@@ -471,6 +526,30 @@ class TestEpisodePhases:
         assert m.disc_loss == 0.0
         assert math.isfinite(m.gen_loss)
 
+    def test_no_adversarial_skips_source_encodes(self, monkeypatch):
+        # acceptance shape: 4-way 1-shot 5-query with 20 source sentences
+        ds, table, _ = gen_synthetic_corpus(8, 10, 12, 2, 6, 32, seed=5)
+        spec = EpisodeSpec(n_way=4, k_shot=1, l_query=5)
+        calls = []
+        real = model.gen_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "gen_forward", counting)
+        for no_adversarial, want in ((False, 44), (True, 24)):
+            cfg = ModelConfig(dim=32, hidden=16, lam=0.1, max_len=12,
+                              no_adversarial=no_adversarial)
+            rng = np.random.default_rng(0)
+            gen = GeneratorParams.init(cfg, rng)
+            disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
+            episode = sample_episode(ds, ds.classes, spec, rng)
+            calls.clear()
+            episode_update(episode, gen, disc, cfg, table,
+                           AdamState(lr=1e-3), AdamState(lr=1e-3))
+            assert len(calls) == want
+
     def test_full_pipeline_gradients(self):
         from metadapt.harness import run_gradient_checks
         errs = run_gradient_checks(seed=0, n_coords=80)
@@ -494,7 +573,6 @@ class TestEncode:
         cfg = small_cfg()
         gen = GeneratorParams.init(cfg, rng)
         ex = ds.examples[0]
-        from metadapt.corpus import embed_sentence
         W = embed_sentence(ex, table)
         k, _ = generate_attention(W, gen)
         want = with_bias(fuse(W, k))
