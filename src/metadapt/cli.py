@@ -71,6 +71,27 @@ _CONFIG_DEFAULTS = {
 _BOOL_KEYS = {"no_adversarial", "concat_fusion"}
 _FLOAT_KEYS = {"lr", "lam"}
 _STR_KEYS = {"source_excludes"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _coerce_value(key: str, val):
+    """``val`` as the type of config key ``key``; DataError if it has another type."""
+    if key in _BOOL_KEYS:
+        if isinstance(val, int) and val in (0, 1):  # True and False are ints too
+            return bool(val)
+        if isinstance(val, str) and val.lower() in _TRUE + _FALSE:
+            return val.lower() in _TRUE
+    elif key in _STR_KEYS:
+        if isinstance(val, str):
+            return val
+    elif not isinstance(val, bool):
+        conv, types = (float, (str, int, float)) if key in _FLOAT_KEYS else (int, (str, int))
+        if isinstance(val, types):
+            try:
+                return conv(val)
+            except ValueError:
+                pass
+    raise DataError(f"config key '{key}' has a value of the wrong type: {val!r}")
 
 
 def _coerce_config(raw: dict) -> dict:
@@ -78,16 +99,7 @@ def _coerce_config(raw: dict) -> dict:
     for key, val in raw.items():
         if key not in cfg:
             raise DataError(f"unknown config key '{key}'")
-        if key in _BOOL_KEYS:
-            if isinstance(val, str):
-                val = val.lower() in ("1", "true", "yes", "on")
-            cfg[key] = bool(val)
-        elif key in _FLOAT_KEYS:
-            cfg[key] = float(val)
-        elif key in _STR_KEYS:
-            cfg[key] = str(val)
-        else:
-            cfg[key] = int(val)
+        cfg[key] = _coerce_value(key, val)
     return cfg
 
 
@@ -137,6 +149,26 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _read_split(path) -> tuple[set, set]:
+    """(test classes, train classes) from a split.json written by ``train``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            split = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise DataError(f"cannot read split file {path}: {exc}") from None
+    if not isinstance(split, dict):
+        raise DataError(f"{path}: a split must be a JSON object, got {type(split).__name__}")
+
+    def classes(key):
+        ids = split.get(key)
+        if not isinstance(ids, list) or not all(
+                isinstance(c, int) and not isinstance(c, bool) for c in ids):
+            raise DataError(f"{path}: {key} must be a list of integer class ids, got {ids!r}")
+        return set(ids)
+
+    return classes("test_classes"), classes("train_classes")
+
+
 def _cmd_eval(args) -> int:
     gen, disc, model_cfg = harness.load_checkpoint(args.checkpoint)
     dataset = load_jsonl_dataset(args.data, label_field=args.label_field,
@@ -148,13 +180,7 @@ def _cmd_eval(args) -> int:
 
     train_classes = None
     if args.split:
-        try:
-            with open(args.split, "r", encoding="utf-8") as fh:
-                split = json.load(fh)
-            test_classes = set(split["test_classes"])
-            train_classes = set(split["train_classes"])
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"cannot read split file {args.split}: {exc}") from None
+        test_classes, train_classes = _read_split(args.split)
     else:
         test_classes = set(dataset.classes)
 

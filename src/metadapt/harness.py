@@ -91,12 +91,19 @@ class EvalReport:
 
 def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
                       dataset: Dataset, classes, spec: EpisodeSpec, n_episodes: int,
-                      rng: np.random.Generator) -> list[float]:
-    """Per-episode query accuracies with frozen generator parameters."""
+                      rng: np.random.Generator, features=None) -> list[float]:
+    """Per-episode query accuracies with frozen generator parameters.
+
+    Each example is encoded at most once: ``features`` is the memo of
+    ``model.episode_accuracy`` (dataset index -> encoder feature), fresh for
+    this call unless the caller passes one it also holds the generator
+    fixed for.  It grows to one feature per distinct example sampled.
+    """
+    features = {} if features is None else features
     accs = []
     for _ in range(n_episodes):
         ep = sample_episode(dataset, classes, spec, rng, with_source=False)
-        accs.append(model.episode_accuracy(ep, gen, cfg, table))
+        accs.append(model.episode_accuracy(ep, gen, cfg, table, features))
     return accs
 
 
@@ -225,7 +232,8 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
               n_episodes: int = 1000, seeds=(0,), train_classes=None) -> EvalReport:
     """Episodic evaluation over ``n_episodes`` per seed.
 
-    The generator is frozen; only the ridge head is refit per episode.  If
+    The generator is frozen; only the ridge head is refit per episode, and
+    each distinct example is encoded once for all seeds.  If
     ``train_classes`` is given, disjointness from the test classes is
     asserted first.
     """
@@ -236,10 +244,11 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
     if not seeds:
         raise ValueError("at least one seed is required")
     accs: list[float] = []
+    features: dict = {}  # one memo for all seeds: the generator stays frozen
     for seed in seeds:
         rng = np.random.default_rng(seed)
         accs.extend(evaluate_episodes(gen, cfg, table, dataset, test_classes,
-                                      spec, n_episodes, rng))
+                                      spec, n_episodes, rng, features))
     arr = np.asarray(accs)
     n = arr.size
     std = float(arr.std(ddof=1)) if n > 1 else 0.0

@@ -360,7 +360,8 @@ def domain_loss(x: np.ndarray, labels, disc: DiscriminatorParams):
 @dataclass
 class EpisodeForward:
     """Per-sentence encoder features and caches for one episode, computed
-    once per update (the generator stays fixed until phase 3's step)."""
+    once per update (the generator stays fixed until phase 3's step).  The
+    evaluation path, which runs no backward pass, leaves the caches None."""
 
     support_feats: list
     support_labels: np.ndarray
@@ -498,13 +499,32 @@ def episode_update(episode: Episode, gen: GeneratorParams, disc: DiscriminatorPa
     return EpisodeMetrics(ridge_loss=l_rr, disc_loss=l_d, gen_loss=l_g, query_accuracy=acc)
 
 
+def _labels(items) -> np.ndarray:
+    return np.asarray([y for _, y in items], dtype=np.intp)
+
+
 def episode_accuracy(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
-                     table: EmbeddingTable) -> float:
+                     table: EmbeddingTable, features: dict) -> float:
     """Evaluation path: fit the ridge head on support, score the query set.
 
-    Touches no persistent parameters; this is the only per-episode
-    adaptation at test time.
+    Touches no persistent parameters; the ridge head is the only per-episode
+    adaptation at test time.  With the generator frozen, an example's
+    feature depends on the example alone, so ``features`` maps a dataset
+    index (``episode.support_indices``/``query_indices``) to its encoder
+    feature, before the bias, and is filled here the first time an index
+    is seen.  Its owner must drop it before the generator changes.
     """
-    fwd = episode_forward(episode, gen, cfg, table)
+    def gather(items, indices):
+        for (ex, _), i in zip(items, indices):
+            if i not in features:
+                features[i] = gen_forward(embed_sentence(ex, table), gen, cfg)[0]
+        return [features[i] for i in indices]
+
+    fwd = EpisodeForward(
+        support_feats=gather(episode.support, episode.support_indices),
+        support_labels=_labels(episode.support),
+        query=[(f, None) for f in gather(episode.query, episode.query_indices)],
+        query_labels=_labels(episode.query), source=[], n_way=episode.n_way,
+    )
     clf, _ = fit_episode_classifier(fwd, cfg.lam)
     return _score_query(fwd, clf)[1]

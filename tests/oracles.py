@@ -9,7 +9,7 @@ from scipy.special import expit, logsumexp
 
 from metadapt import nn
 from metadapt.corpus import embed_sentence
-from metadapt.model import gen_forward, ridge_predict, with_bias
+from metadapt.model import encode, gen_forward, ridge_fit, ridge_predict, with_bias
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -77,3 +77,15 @@ def gen_loss(query_items, source_examples, clf, gen, disc, cfg, table) -> float:
     s_feats = [gen_forward(embed_sentence(ex, table), gen, cfg)[0]
                for ex in source_examples]
     return ce - disc_loss(q_feats, s_feats, disc)
+
+
+def episode_accuracy(episode, gen, cfg, table) -> float:
+    """Query accuracy of one evaluation episode with every sentence encoded
+    afresh: the ridge head is fit on the support features, then each query
+    row is scored on its own."""
+    X = np.stack([encode(ex, gen, table, cfg) for ex, _ in episode.support])
+    Y = nn.one_hot([y for _, y in episode.support], episode.n_way)
+    clf = ridge_fit(X, Y, cfg.lam)
+    hits = sum(int(np.argmax(ridge_predict(clf, encode(ex, gen, table, cfg)))) == y
+               for ex, y in episode.query)
+    return hits / len(episode.query)

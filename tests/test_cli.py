@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from metadapt.cli import main
+from metadapt.cli import _coerce_config, main
 from metadapt.corpus import load_embeddings, load_jsonl_dataset
 
 
@@ -122,6 +122,30 @@ class TestExitCodes:
                    "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("name, text, shown", [
+        ("c.json", '{"epochs": null}', "'epochs' has a value of the wrong type: None"),
+        ("c.txt", "epochs=abc\n", "'epochs' has a value of the wrong type: 'abc'"),
+        ("c.json", '{"lr": "fast"}', "'lr' has a value of the wrong type: 'fast'"),
+        ("c.txt", "concat_fusion=maybe\n",
+         "'concat_fusion' has a value of the wrong type: 'maybe'"),
+    ])
+    def test_data_error_mistyped_config_value(self, name, text, shown, synth_dir,
+                                              tmp_path, capsys):
+        config = tmp_path / name
+        config.write_text(text)
+        rc = main(["train", "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"data error: config key {shown}" in capsys.readouterr().err
+
+    def test_config_values_coerced(self):
+        cfg = _coerce_config({"concat_fusion": 1, "no_adversarial": "off", "epochs": "3",
+                              "lam": 2, "lr": "0.5", "source_excludes": "current"})
+        assert cfg["concat_fusion"] is True and cfg["no_adversarial"] is False
+        assert (cfg["epochs"], cfg["lam"], cfg["lr"]) == (3, 2.0, 0.5)
+        assert isinstance(cfg["lam"], float) and cfg["source_excludes"] == "current"
+
     def test_json_config_accepted(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({
@@ -134,6 +158,25 @@ class TestExitCodes:
                    "--embeddings", str(synth_dir / "embeddings.vec"),
                    "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+
+class TestMalformedSplit:
+    @pytest.mark.parametrize("split", [
+        [1, 2],
+        {"test_classes": 5, "train_classes": [0, 1]},
+        {"test_classes": [6, 7]},
+        {"test_classes": ["6", 7], "train_classes": [0, 1]},
+    ])
+    def test_data_error_exit(self, split, synth_dir, trained_dir, tmp_path, capsys):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(split))
+        rc = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.json"),
+                   "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--split", str(path), "--n-episodes", "2", "--n-way", "2",
+                   "--k-shot", "1", "--l-query", "2"])
+        assert rc == 2
+        assert "data error:" in capsys.readouterr().err
 
 
 def _drop_attn_w(payload):

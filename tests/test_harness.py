@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from metadapt import model
 from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt.harness import (TrainConfig, dump_attention,
@@ -314,3 +316,91 @@ class TestEvaluateEpisodes:
         rep = meta_test(gen, mcfg, table, ds, split.test_classes, spec,
                         n_episodes=6, seeds=(42,))
         assert tuple(accs) == rep.per_episode
+
+
+VARIANTS = {"default": {}, "concat_fusion": {"concat_fusion": True},
+            "no_adversarial": {"no_adversarial": True}}
+
+
+def variant_cfg(variant):
+    return ModelConfig(dim=12, hidden=6, lam=0.5, max_len=8, disc_hidden=(12, 8),
+                       **VARIANTS[variant])
+
+
+def sampled_episodes(ds, classes, spec, n_episodes, seeds):
+    """The episodes meta_test samples for these seeds, in its order."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        out += [sample_episode(ds, classes, spec, rng, with_source=False)
+                for _ in range(n_episodes)]
+    return out
+
+
+def oracle_accuracies(gen, mcfg, table, episodes):
+    return tuple(oracles.episode_accuracy(ep, gen, mcfg, table) for ep in episodes)
+
+
+class TestEvaluationMemo:
+    """Evaluation encodes each distinct example once per call; the results
+    must carry the same bits as encoding every sentence of every episode."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_meta_test_matches_oracle(self, variant):
+        ds, table, vocab, split, spec, _ = small_setup()
+        mcfg = variant_cfg(variant)
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(11))
+        rep = meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                        n_episodes=8, seeds=(3, 4))
+        episodes = sampled_episodes(ds, split.test_classes, spec, 8, (3, 4))
+        assert rep.per_episode == oracle_accuracies(gen, mcfg, table, episodes)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_train_matches_oracle_validation(self, variant, tmp_path, monkeypatch):
+        ds, table, vocab, split, spec, _ = small_setup()
+        mcfg = variant_cfg(variant)
+        cfg = TrainConfig(spec=spec, epochs=3, episodes_per_epoch=3, patience=5,
+                          seed=2, val_episodes=4, lr=0.05)
+        memo = train(ds, split, cfg, mcfg, table, out_dir=tmp_path / "memo",
+                     clock=lambda: 0.0)
+        monkeypatch.setattr(model, "episode_accuracy",
+                            lambda ep, gen, mcfg, table, features:
+                            oracles.episode_accuracy(ep, gen, mcfg, table))
+        oracle = train(ds, split, cfg, mcfg, table, out_dir=tmp_path / "oracle",
+                       clock=lambda: 0.0)
+        assert memo.val_accuracies == oracle.val_accuracies
+        for name in ("checkpoint.json", "metrics.jsonl", "metrics.csv"):
+            assert (tmp_path / "memo" / name).read_bytes() == \
+                (tmp_path / "oracle" / name).read_bytes()
+
+    def test_encodes_each_distinct_example_once(self, monkeypatch):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(12))
+        calls = []
+        real = model.gen_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "gen_forward", counting)
+        meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                  n_episodes=10, seeds=(5, 6))
+        episodes = sampled_episodes(ds, split.test_classes, spec, 10, (5, 6))
+        sampled = [i for ep in episodes for i in ep.support_indices + ep.query_indices]
+        assert len(sampled) > len(set(sampled))  # examples recur across episodes
+        assert len(calls) == len(set(sampled))
+
+    def test_no_features_outlive_a_call(self):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(13))
+        episodes = sampled_episodes(ds, split.test_classes, spec, 10, (9,))
+        accs = []
+        for step in range(2):
+            accs.append(tuple(evaluate_episodes(gen, mcfg, table, ds, split.test_classes,
+                                                spec, 10, np.random.default_rng(9))))
+            assert accs[-1] == oracle_accuracies(gen, mcfg, table, episodes)
+            perturb = np.random.default_rng(14)
+            for p in gen.params():
+                p.value += perturb.normal(scale=0.5, size=p.value.shape)
+        assert accs[0] != accs[1]  # the perturbation shows in the accuracies

@@ -19,6 +19,7 @@ from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams
                             update_generator, with_bias)
 from metadapt.nn import AdamState, LstmParams, params_digest
 from oracles import cross_entropy, disc_loss, discriminate, gen_loss
+from oracles import episode_accuracy as oracle_episode_accuracy
 
 LN2 = 0.6931471805599453
 LN5 = 1.6094379124341003
@@ -559,9 +560,11 @@ class TestEpisodePhases:
     def test_episode_accuracy_range_and_purity(self):
         episode, gen, disc, cfg, table = self.make(seed=4)
         g0 = params_digest(gen.params())
-        acc1 = episode_accuracy(episode, gen, cfg, table)
-        acc2 = episode_accuracy(episode, gen, cfg, table)
-        assert acc1 == acc2
+        features = {}
+        acc1 = episode_accuracy(episode, gen, cfg, table, features)
+        assert features.keys() == set(episode.support_indices + episode.query_indices)
+        acc2 = episode_accuracy(episode, gen, cfg, table, features)  # memo hits only
+        assert acc1 == acc2 == oracle_episode_accuracy(episode, gen, cfg, table)
         assert 0.0 <= acc1 <= 1.0
         assert params_digest(gen.params()) == g0
 
