@@ -15,10 +15,14 @@ from metadapt.nn import lstm_backward, lstm_forward
 from metadapt.harness import run_gradient_checks
 
 # --- one component: LSTM-through-time -------------------------------------
+# a time-major batch (T, B, d) of three sequences of lengths 6, 2 and 4,
+# each padded with zeros at its end; the probe reads no padded step
 rng = np.random.default_rng(0)
 params = LstmParams.init(input_size=5, hidden_size=4, rng=rng)
-X = rng.normal(size=(5, 6))
-probe = rng.normal(size=(4, 6))
+lengths = np.array([6, 2, 4])
+valid = np.arange(6)[:, None] < lengths[None, :]
+X = rng.normal(size=(6, 3, 5)) * valid[:, :, None]
+probe = rng.normal(size=(6, 3, 4)) * valid[:, :, None]
 
 
 def loss_fn():
@@ -28,7 +32,8 @@ def loss_fn():
 
 
 err = grad_check(loss_fn, params.params(), n_coords=500, rng=rng)
-print(f"LSTM backward vs central differences: max relative error {err:.3e}")
+print(f"LSTM backward vs central differences: max relative error {err:.3e} "
+      f"({'ok' if err < 1e-5 else 'SUSPECT'})")
 
 # --- the two training losses ----------------------------------------------
 # discriminator loss w.r.t. its weights, generator loss w.r.t. the BiLSTM

@@ -10,8 +10,8 @@ from .harness import (EvalReport, MetricsRecord, TrainConfig, TrainResult,
                       load_checkpoint, meta_test, run_gradient_checks,
                       save_checkpoint, train)
 from .model import (DiscriminatorParams, EpisodeMetrics, GeneratorParams,
-                    ModelConfig, RidgeClassifier, encode, episode_update, fuse,
-                    fuse_concat, generate_attention, ridge_fit, ridge_predict)
+                    ModelConfig, RidgeClassifier, attention_weights, encode,
+                    episode_update, ridge_fit, ridge_predict)
 from .nn import (AdamState, LstmParams, NumericalError, Param, adam_step,
                  bilstm_forward, ffn_forward, grad_check, softmax)
 

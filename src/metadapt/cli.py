@@ -122,16 +122,19 @@ def _cmd_train(args) -> int:
         counts = _default_split_counts(n_classes)
     split = split_classes(dataset.classes, counts, np.random.default_rng(cfg["seed"]))
 
-    spec = EpisodeSpec(n_way=cfg["n_way"], k_shot=cfg["k_shot"], l_query=cfg["l_query"])
-    train_cfg = TrainConfig(spec=spec, epochs=cfg["epochs"],
-                            episodes_per_epoch=cfg["episodes_per_epoch"],
-                            patience=cfg["patience"], seed=cfg["seed"],
-                            val_episodes=cfg["val_episodes"], lr=cfg["lr"],
-                            source_excludes=cfg["source_excludes"])
-    model_cfg = ModelConfig(dim=table.dim, hidden=cfg["hidden"], lam=cfg["lam"],
-                            no_adversarial=cfg["no_adversarial"],
-                            concat_fusion=cfg["concat_fusion"], max_len=cfg["max_len"],
-                            disc_hidden=(cfg["disc_hidden1"], cfg["disc_hidden2"]))
+    try:  # the constructors check the values' ranges
+        spec = EpisodeSpec(n_way=cfg["n_way"], k_shot=cfg["k_shot"], l_query=cfg["l_query"])
+        train_cfg = TrainConfig(spec=spec, epochs=cfg["epochs"],
+                                episodes_per_epoch=cfg["episodes_per_epoch"],
+                                patience=cfg["patience"], seed=cfg["seed"],
+                                val_episodes=cfg["val_episodes"], lr=cfg["lr"],
+                                source_excludes=cfg["source_excludes"])
+        model_cfg = ModelConfig(dim=table.dim, hidden=cfg["hidden"], lam=cfg["lam"],
+                                no_adversarial=cfg["no_adversarial"],
+                                concat_fusion=cfg["concat_fusion"], max_len=cfg["max_len"],
+                                disc_hidden=(cfg["disc_hidden1"], cfg["disc_hidden2"]))
+    except ValueError as exc:
+        raise DataError(f"config: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,6 +184,10 @@ def _cmd_eval(args) -> int:
     train_classes = None
     if args.split:
         test_classes, train_classes = _read_split(args.split)
+        unknown = (test_classes | train_classes) - dataset.classes
+        if unknown:
+            raise DataError(f"{args.split}: class ids {sorted(unknown)} are not in the "
+                            f"corpus, which has {len(dataset.classes)} classes")
     else:
         test_classes = set(dataset.classes)
 

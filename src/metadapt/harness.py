@@ -357,10 +357,7 @@ def dump_attention(gen: GeneratorParams, cfg: ModelConfig, example: Example,
 def dump_embeddings(gen: GeneratorParams, cfg: ModelConfig, episode: Episode,
                     table: EmbeddingTable, out):
     """CSV of (local label, classifier input representation) for the query set."""
-    rows = []
-    for ex, y in episode.query:
-        feat, _ = model.gen_forward(model.embed_sentence(ex, table), gen, cfg)
-        rows.append((y, feat))
+    rows = [(y, model.encode(ex, gen, table, cfg)[:-1]) for ex, y in episode.query]
     width = len(rows[0][1])
     with open(out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)

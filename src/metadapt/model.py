@@ -3,9 +3,11 @@
 The generator runs a BiLSTM over a sentence's word vectors and softmaxes a
 learned projection of the contextual states into per-word attention weights;
 fusing those weights back into the word matrix gives a fixed-width sentence
-embedding.  A per-episode ridge regressor is fit on support embeddings in
-closed form, and a small feed-forward discriminator plays the adversarial
-domain game against the generator on query vs. source embeddings.
+embedding.  Sentences are encoded in batches, one padded BiLSTM pass per
+batch: an episode update encodes its support, query and source sets in one.
+A per-episode ridge regressor is fit on support embeddings in closed form,
+and a small feed-forward discriminator plays the adversarial domain game
+against the generator on query vs. source embeddings.
 
 One episode update runs three phases, each touching exactly one parameter
 set: fit the ridge head (theta), one Adam step on the discriminator (mu),
@@ -14,6 +16,7 @@ one Adam step on the generator (beta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +43,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim < 1 or self.hidden < 1 or self.max_len < 1:
             raise ValueError("dim, hidden, and max_len must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
         if self.no_adversarial and self.concat_fusion:
             raise ValueError("conflicting ablation flags: no_adversarial and concat_fusion")
 
@@ -188,90 +191,97 @@ class DiscriminatorParams:
 # generator forward / backward
 
 
-def generate_attention(W: np.ndarray, gen: GeneratorParams, mask=None):
-    """Per-word attention weights for one sentence.
+def with_bias(feat) -> np.ndarray:
+    """Features with a constant 1 appended along the last axis (the ridge
+    head's bias feature); takes one vector or a (rows, width) matrix."""
+    feat = np.asarray(feat, dtype=np.float64)
+    return np.concatenate([feat, np.ones(feat.shape[:-1] + (1,))], axis=-1)
 
-    Scores each BiLSTM contextual state with the learned projection and
-    softmaxes across positions.  Returns (k (m,), cache for the backward
-    pass through the generator).
+
+def _embed_batch(examples, table: EmbeddingTable):
+    """Word vectors of a batch as a time-major padded X (T, B, d), each
+    sentence from t = 0 and zero-padded at its end, and the lengths (B,)."""
+    lengths = np.array([len(ex.token_ids) for ex in examples], dtype=np.intp)
+    if lengths.size == 0:
+        raise ValueError("no sentences to encode")
+    X = np.zeros((lengths.max(), lengths.size, table.dim))
+    for b, ex in enumerate(examples):
+        X[:lengths[b], b] = embed_sentence(ex, table).T
+    return X, lengths
+
+
+def _valid(lengths, T: int) -> np.ndarray:
+    """(B, T) mask of the positions that hold a token."""
+    return np.arange(T)[None, :] < lengths[:, None]
+
+
+def _attention(X, lengths, gen: GeneratorParams):
+    """Attention weights k (B, T), zero at padded positions: each BiLSTM
+    contextual state is scored with the learned projection and softmaxed
+    across its sentence.  Returns (k, H_ctx, BiLSTM cache)."""
+    H_ctx, bc = nn.bilstm_forward(X, lengths, gen.fwd, gen.bwd)
+    z = H_ctx @ gen.attn_w.value + gen.attn_b.value[0]
+    return nn.softmax(z.T, _valid(lengths, X.shape[0])), H_ctx, bc
+
+
+def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: ModelConfig):
+    """Encoder features (B, encoder_dim), before the bias, of a batch of
+    sentences in one padded BiLSTM pass, plus the cache gen_backward needs.
+
+    The default fuses each sentence's word vectors with its attention
+    weights, s = W k.  ``concat_fusion`` puts the weights, zero-padded to
+    ``max_len``, before the mean word vector.  ``no_adversarial`` projects
+    the mean contextual state back to word-vector width.
     """
-    H_ctx, bc = nn.bilstm_forward(W, gen.fwd, gen.bwd)
-    z = gen.attn_w.value @ H_ctx + gen.attn_b.value[0]
-    k = nn.softmax(z, mask)
-    return k, (W, H_ctx, bc, k)
-
-
-def fuse(W: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Sentence embedding s = W k, the attention-weighted sum of word vectors."""
-    W = np.asarray(W, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if W.ndim != 2 or k.ndim != 1 or W.shape[1] != k.shape[0]:
-        raise ValueError(f"fuse shape mismatch: {W.shape} with {k.shape}")
-    return W @ k
-
-
-def fuse_concat(W: np.ndarray, k: np.ndarray, max_len: int) -> np.ndarray:
-    """Ablation fusion: attention weights zero-padded to max_len, then the
-    column mean of W appended.  Output length is max_len + d."""
-    W = np.asarray(W, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    m = k.shape[0]
-    if m > max_len:
-        raise ValueError(f"sentence length {m} exceeds max_len {max_len}")
-    padded = np.zeros(max_len)
-    padded[:m] = k
-    return np.concatenate([padded, W.mean(axis=1)])
-
-
-def with_bias(feat: np.ndarray) -> np.ndarray:
-    return np.concatenate([feat, [1.0]])
-
-
-def gen_forward(W: np.ndarray, gen: GeneratorParams, cfg: ModelConfig):
-    """Encoder feature for one sentence (pre-bias) plus backward cache."""
+    X, lengths = _embed_batch(examples, table)
+    T = X.shape[0]
     if cfg.no_adversarial:
-        H_ctx, bc = nn.bilstm_forward(W, gen.fwd, gen.bwd)
-        hbar = H_ctx.mean(axis=1)
-        s = gen.proj_w.value @ hbar + gen.proj_b.value
-        return s, ("pool", W, H_ctx, bc, hbar)
-    k, cache = generate_attention(W, gen)
-    W, H_ctx, bc, k = cache
+        H_ctx, bc = nn.bilstm_forward(X, lengths, gen.fwd, gen.bwd)
+        H_ctx[~_valid(lengths, T).T] = 0.0
+        hbar = H_ctx.sum(axis=0) / lengths[:, None]
+        feats = hbar @ gen.proj_w.value.T + gen.proj_b.value
+        return feats, (X, lengths, None, bc, hbar)
+    k, H_ctx, bc = _attention(X, lengths, gen)
     if cfg.concat_fusion:
-        v = fuse_concat(W, k, cfg.max_len)
-        return v, ("concat", W, H_ctx, bc, k)
-    return fuse(W, k), ("fuse", W, H_ctx, bc, k)
-
-
-def gen_backward(dfeat: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConfig):
-    """Push d(loss)/d(feature) back into the generator's grads."""
-    kind = cache[0]
-    if kind == "pool":
-        _, W, H_ctx, bc, hbar = cache
-        gen.proj_w.grad += np.outer(dfeat, hbar)
-        gen.proj_b.grad += dfeat
-        dhbar = gen.proj_w.value.T @ dfeat
-        m = W.shape[1]
-        dH = np.repeat((dhbar / m)[:, None], m, axis=1)
-        nn.bilstm_backward(dH, bc, gen.fwd, gen.bwd)
-        return
-    _, W, H_ctx, bc, k = cache
-    if kind == "concat":
-        dk = dfeat[:k.shape[0]]  # padding and mean-embedding parts carry no generator grad
+        if T > cfg.max_len:
+            raise ValueError(f"sentence length {T} exceeds max_len {cfg.max_len}")
+        feats = np.zeros((lengths.size, cfg.encoder_dim))
+        feats[:, :T] = k
+        feats[:, cfg.max_len:] = X.sum(axis=0) / lengths[:, None]
     else:
-        dk = W.T @ dfeat
-    dz = k * (dk - float(k @ dk))
-    gen.attn_w.grad += H_ctx @ dz
-    gen.attn_b.grad += dz.sum()
-    dH = np.outer(gen.attn_w.value, dz)
+        # s = W k per sentence as a stack of matrix-vector products, which
+        # rounds as the per-sentence W @ k does
+        feats = np.matmul(np.ascontiguousarray(X.transpose(1, 2, 0)), k[:, :, None])[:, :, 0]
+    return feats, (X, lengths, H_ctx, bc, k)
+
+
+def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConfig):
+    """Push d(loss)/d(features) (B, encoder_dim) back into the generator's
+    grads; consumes the cache."""
+    X, lengths, H_ctx, bc, aux = cache
+    if cfg.no_adversarial:
+        gen.proj_w.grad += dfeats.T @ aux
+        gen.proj_b.grad += dfeats.sum(axis=0)
+        dhbar = dfeats @ gen.proj_w.value / lengths[:, None]
+        dH = np.where(_valid(lengths, X.shape[0]).T[:, :, None], dhbar, 0.0)
+    else:
+        k = aux
+        if cfg.concat_fusion:
+            # padding and mean-embedding parts carry no generator grad
+            dk = dfeats[:, :k.shape[1]]
+        else:
+            dk = np.einsum("tbd,bd->bt", X, dfeats)
+        dz = k * (dk - (k * dk).sum(axis=1, keepdims=True))   # zero at padding
+        gen.attn_w.grad += np.tensordot(dz.T, H_ctx, axes=2)
+        gen.attn_b.grad += dz.sum()
+        dH = dz.T[:, :, None] * gen.attn_w.value
     nn.bilstm_backward(dH, bc, gen.fwd, gen.bwd)
 
 
 def encode(example, gen: GeneratorParams, table: EmbeddingTable,
            cfg: ModelConfig) -> np.ndarray:
     """Classifier input feature (bias appended) under the configured variant."""
-    W = embed_sentence(example, table)
-    feat, _ = gen_forward(W, gen, cfg)
-    return with_bias(feat)
+    return with_bias(gen_forward([example], gen, table, cfg)[0][0])
 
 
 def attention_weights(example, gen: GeneratorParams, table: EmbeddingTable,
@@ -279,9 +289,7 @@ def attention_weights(example, gen: GeneratorParams, table: EmbeddingTable,
     """Attention vector for one sentence (not available under no_adversarial)."""
     if cfg.no_adversarial:
         raise ValueError("the plain-encoder ablation produces no attention weights")
-    W = embed_sentence(example, table)
-    k, _ = generate_attention(W, gen)
-    return k
+    return _attention(*_embed_batch([example], table), gen)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +312,8 @@ def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> RidgeClassifier:
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"ridge_fit shape mismatch: {X.shape} vs {Y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
@@ -359,16 +367,26 @@ def domain_loss(x: np.ndarray, labels, disc: DiscriminatorParams):
 
 @dataclass
 class EpisodeForward:
-    """Per-sentence encoder features and caches for one episode, computed
-    once per update (the generator stays fixed until phase 3's step).  The
-    evaluation path, which runs no backward pass, leaves the caches None."""
+    """Encoder features of one episode from one batched pass: support rows,
+    then query rows, then source rows.  Computed once per update (the
+    generator stays fixed until phase 3's step); phase 3's backward pass
+    consumes the cache, and the evaluation path, which runs none, leaves it
+    None."""
 
-    support_feats: list
+    feats: np.ndarray        # (n_support + n_query + n_source, encoder_dim)
+    cache: object            # gen_forward's cache for all rows
     support_labels: np.ndarray
-    query: list          # [(feat, cache), ...]
     query_labels: np.ndarray
-    source: list         # [(feat, cache), ...]
     n_way: int
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.feats[:len(self.support_labels)]
+
+    @property
+    def query(self) -> np.ndarray:
+        ns = len(self.support_labels)
+        return self.feats[ns:ns + len(self.query_labels)]
 
 
 @dataclass
@@ -379,53 +397,44 @@ class EpisodeMetrics:
     query_accuracy: float
 
 
+def _labels(items) -> np.ndarray:
+    return np.asarray([y for _, y in items], dtype=np.intp)
+
+
 def episode_forward(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
                     table: EmbeddingTable) -> EpisodeForward:
-    sup_feats, sup_y = [], []
-    for ex, y in episode.support:
-        f, _ = gen_forward(embed_sentence(ex, table), gen, cfg)
-        sup_feats.append(f)
-        sup_y.append(y)
-    query, qry_y = [], []
-    for ex, y in episode.query:
-        query.append(gen_forward(embed_sentence(ex, table), gen, cfg))
-        qry_y.append(y)
-    # the plain-encoder ablation never reads the source set
-    source = [] if cfg.no_adversarial else [
-        gen_forward(embed_sentence(ex, table), gen, cfg) for ex in episode.source]
-    return EpisodeForward(
-        support_feats=sup_feats, support_labels=np.asarray(sup_y, dtype=np.intp),
-        query=query, query_labels=np.asarray(qry_y, dtype=np.intp),
-        source=source, n_way=episode.n_way,
-    )
+    """Support, query and source sentences encoded in one batch; the
+    plain-encoder ablation never reads the source set and skips it."""
+    examples = [ex for ex, _ in episode.support] + [ex for ex, _ in episode.query]
+    if not cfg.no_adversarial:
+        examples += list(episode.source)
+    feats, cache = gen_forward(examples, gen, table, cfg)
+    return EpisodeForward(feats=feats, cache=cache, support_labels=_labels(episode.support),
+                          query_labels=_labels(episode.query), n_way=episode.n_way)
 
 
 def fit_episode_classifier(fwd: EpisodeForward, lam: float):
     """Phase 1: closed-form ridge fit on the support set; returns (clf, loss)."""
-    X = np.stack([with_bias(f) for f in fwd.support_feats])
+    X = with_bias(fwd.support)
     Y = nn.one_hot(fwd.support_labels, fwd.n_way)
     clf = ridge_fit(X, Y, lam)
     return clf, ridge_loss(X, Y, clf)
 
 
 def _domain_batch(fwd: EpisodeForward):
-    """Query features stacked on source features, with their domain labels."""
-    if not fwd.source:
+    """Query rows followed by source rows, with their domain labels."""
+    x = fwd.feats[len(fwd.support_labels):]
+    nq = len(fwd.query_labels)
+    if len(x) == nq:
         raise ValueError("episode has no source set")
-    x = np.vstack([f for f, _ in fwd.query] + [f for f, _ in fwd.source])
-    labels = np.repeat(np.arange(2), [len(fwd.query), len(fwd.source)])
-    return x, labels
+    return x, np.repeat(np.arange(2), [nq, len(x) - nq])
 
 
 def _score_query(fwd: EpisodeForward, clf: RidgeClassifier):
-    """Ridge scores of the query set (one row per query) and its accuracy.
-
-    Each row is its own vector-matrix product: a single matrix product
-    rounds differently and would change training in the last bits.
-    """
-    scores = np.stack([ridge_predict(clf, with_bias(f)) for f, _ in fwd.query])
+    """Ridge scores of the query set (one row per query) and its accuracy."""
+    scores = ridge_predict(clf, with_bias(fwd.query))
     correct = int((np.argmax(scores, axis=1) == fwd.query_labels).sum())
-    return scores, correct / len(fwd.query)
+    return scores, correct / len(fwd.query_labels)
 
 
 def discriminator_loss_and_grads(fwd: EpisodeForward, disc: DiscriminatorParams) -> float:
@@ -455,17 +464,16 @@ def generator_loss_and_grads(fwd: EpisodeForward, clf: RidgeClassifier,
         p.zero_grad()
     scores, acc = _score_query(fwd, clf)
     loss, dscores = nn.softmax_cross_entropy(scores, fwd.query_labels)
-    dfeats = [clf.theta[:-1] @ d for d in dscores]  # per row, as in _score_query
-    caches = [c for _, c in fwd.query]
+    # support rows get no gradient: theta is held fixed
+    ns, nq = len(fwd.support_labels), len(fwd.query_labels)
+    dfeats = np.zeros_like(fwd.feats)
+    dfeats[ns:ns + nq] = dscores @ clf.theta[:-1].T
     if not cfg.no_adversarial:
         l_d, dlogits, cache = domain_loss(*_domain_batch(fwd), disc)
         loss -= l_d
         # minus sign: the generator maximizes the discriminator's loss
-        dx = nn.ffn_backward(-dlogits, cache, disc.layers, update_grads=False)
-        dfeats = [d + dx[j] for j, d in enumerate(dfeats)] + list(dx[len(dfeats):])
-        caches += [c for _, c in fwd.source]
-    for d, c in zip(dfeats, caches):
-        gen_backward(d, c, gen, cfg)
+        dfeats[ns:] += nn.ffn_backward(-dlogits, cache, disc.layers, update_grads=False)
+    gen_backward(dfeats, fwd.cache, gen, cfg)
     return loss, acc
 
 
@@ -499,10 +507,6 @@ def episode_update(episode: Episode, gen: GeneratorParams, disc: DiscriminatorPa
     return EpisodeMetrics(ridge_loss=l_rr, disc_loss=l_d, gen_loss=l_g, query_accuracy=acc)
 
 
-def _labels(items) -> np.ndarray:
-    return np.asarray([y for _, y in items], dtype=np.intp)
-
-
 def episode_accuracy(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
                      table: EmbeddingTable, features: dict) -> float:
     """Evaluation path: fit the ridge head on support, score the query set.
@@ -511,20 +515,18 @@ def episode_accuracy(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
     adaptation at test time.  With the generator frozen, an example's
     feature depends on the example alone, so ``features`` maps a dataset
     index (``episode.support_indices``/``query_indices``) to its encoder
-    feature, before the bias, and is filled here the first time an index
-    is seen.  Its owner must drop it before the generator changes.
+    feature, before the bias; the indices not in it yet are encoded here in
+    one batch and added.  Its owner must drop it before the generator
+    changes.
     """
-    def gather(items, indices):
-        for (ex, _), i in zip(items, indices):
-            if i not in features:
-                features[i] = gen_forward(embed_sentence(ex, table), gen, cfg)[0]
-        return [features[i] for i in indices]
-
-    fwd = EpisodeForward(
-        support_feats=gather(episode.support, episode.support_indices),
-        support_labels=_labels(episode.support),
-        query=[(f, None) for f in gather(episode.query, episode.query_indices)],
-        query_labels=_labels(episode.query), source=[], n_way=episode.n_way,
-    )
+    items = list(zip(episode.support_indices + episode.query_indices,
+                     [ex for ex, _ in episode.support + episode.query]))
+    missing = {i: ex for i, ex in items if i not in features}
+    if missing:
+        feats, _ = gen_forward(list(missing.values()), gen, table, cfg)
+        features.update(zip(missing, feats))
+    fwd = EpisodeForward(feats=np.stack([features[i] for i, _ in items]), cache=None,
+                         support_labels=_labels(episode.support),
+                         query_labels=_labels(episode.query), n_way=episode.n_way)
     clf, _ = fit_episode_classifier(fwd, cfg.lam)
     return _score_query(fwd, clf)[1]

@@ -8,6 +8,9 @@ each update).
 
 Forward functions are pure; the ``*_forward`` variants that also return a
 cache exist so the matching ``*_backward`` can replay exact activations.
+The LSTM kernels run a whole padded batch of sequences per call, and their
+backward passes consume the cache: the gate buffer becomes the gradient
+buffer.
 """
 
 from __future__ import annotations
@@ -71,25 +74,23 @@ def params_digest(params) -> str:
 
 
 def softmax(v, mask=None) -> np.ndarray:
-    """Probability vector over unmasked positions (max-subtracted for stability).
+    """Probabilities along the last axis over unmasked positions
+    (max-subtracted for stability).
 
-    ``mask`` is boolean with True marking positions that participate; masked
-    positions come out exactly zero.
+    ``mask`` is boolean, shaped like ``v``, with True marking positions that
+    participate; masked positions come out exactly zero.  Every row needs at
+    least one unmasked position.
     """
     v = np.asarray(v, dtype=np.float64)
-    if mask is None:
-        e = np.exp(v - v.max())
-        return e / e.sum()
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != v.shape:
-        raise ValueError("mask shape does not match input")
-    if not mask.any():
-        raise ValueError("softmax: all positions masked")
-    out = np.zeros_like(v)
-    vm = v[mask]
-    e = np.exp(vm - vm.max())
-    out[mask] = e / e.sum()
-    return out
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != v.shape:
+            raise ValueError("mask shape does not match input")
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax: all positions masked")
+        v = np.where(mask, v, -np.inf)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -167,92 +168,118 @@ class LstmParams:
 
 
 def lstm_forward(X: np.ndarray, p: LstmParams):
-    """Run the cell left-to-right over the columns of X (d x m), zero initial state.
+    """Run the cell forward in time over a padded, time-major batch.
 
-    Returns (H_out (H x m), cache for lstm_backward).
+    ``X`` is (T, B, d): column b holds one sequence from t = 0, zero initial
+    state.  A sequence shorter than T is padded at its end; the states past
+    its end are computed but meaningless, and callers never read them.  The
+    input projection ``W_x x + b`` of every (t, b) is one GEMM before the
+    time loop, which leaves one (B x H)(H x 4H) product per step.
+    Returns (H_out (T, B, H), cache for lstm_backward); the cache holds the
+    gate activations, the cell states and H_out itself.
     """
-    d, m = X.shape
+    T, B, d = X.shape
     H = p.hidden_size
-    wx, wh, b = p.w_x.value, p.w_h.value, p.b.value
-    I = np.empty((H, m)); F = np.empty((H, m)); G = np.empty((H, m)); O = np.empty((H, m))
-    C = np.empty((H, m)); Cprev = np.empty((H, m)); Hprev = np.empty((H, m))
-    Hout = np.empty((H, m))
-    h = np.zeros(H)
-    c = np.zeros(H)
-    for t in range(m):
-        Hprev[:, t] = h
-        Cprev[:, t] = c
-        a = wx @ X[:, t] + wh @ h + b
-        i = expit(a[:H]); f = expit(a[H:2 * H]); g = np.tanh(a[2 * H:3 * H]); o = expit(a[3 * H:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        I[:, t] = i; F[:, t] = f; G[:, t] = g; O[:, t] = o
-        C[:, t] = c
-        Hout[:, t] = h
-    cache = {"X": X, "I": I, "F": F, "G": G, "O": O, "C": C, "Cprev": Cprev, "Hprev": Hprev}
-    return Hout, cache
+    A = X.reshape(T * B, d) @ p.w_x.value.T
+    A += p.b.value
+    A = A.reshape(T, B, 4 * H)   # pre-activations, then gates in place
+    C = np.empty((T, B, H))
+    Hout = np.empty((T, B, H))
+    wh_t = p.w_h.value.T
+    for t in range(T):
+        a = A[t]
+        if t:
+            a += Hout[t - 1] @ wh_t
+        expit(a[:, :2 * H], out=a[:, :2 * H])            # input, forget
+        np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])  # cell candidate
+        expit(a[:, 3 * H:], out=a[:, 3 * H:])              # output
+        c = C[t]
+        np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=c)
+        if t:
+            c += a[:, H:2 * H] * C[t - 1]
+        np.multiply(a[:, 3 * H:], np.tanh(c), out=Hout[t])
+    return Hout, {"X": X, "A": A, "C": C, "H": Hout}
 
 
-def lstm_backward(dH: np.ndarray, cache: dict, p: LstmParams) -> np.ndarray:
-    """Backprop through lstm_forward; accumulates into p grads, returns dX."""
-    X = cache["X"]
-    I, F, G, O = cache["I"], cache["F"], cache["G"], cache["O"]
-    C, Cprev, Hprev = cache["C"], cache["Cprev"], cache["Hprev"]
-    d, m = X.shape
-    H = I.shape[0]
-    wx, wh = p.w_x.value, p.w_h.value
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * H)
-    dX = np.zeros_like(X)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    da = np.empty(4 * H)
-    for t in range(m - 1, -1, -1):
-        dh = dH[:, t] + dh_next
-        tc = np.tanh(C[:, t])
+def lstm_backward(dH: np.ndarray, cache: dict, p: LstmParams) -> None:
+    """Backprop through lstm_forward; accumulates into p's grads.
+
+    ``dH`` (T, B, H) must be zero at every padded step: BPTT then starts
+    from zero state at each sequence's end and the padded steps add exactly
+    nothing.  Only ``dA W_h`` stays in the time loop; ``dW_x``, ``dW_h`` and
+    ``db`` are one GEMM or one sum each afterwards.  The gate buffer is
+    overwritten with d(pre-activation) and the cache is emptied, so a cache
+    serves one backward pass.
+    """
+    if "A" not in cache:
+        raise ValueError("this LSTM cache was already consumed by a backward pass")
+    X, A, C, Hs = (cache.pop(k) for k in ("X", "A", "C", "H"))
+    T, B, d = X.shape
+    H = p.hidden_size
+    wh = p.w_h.value
+    dh_next = np.zeros((B, H))
+    dc = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        a = A[t]
+        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        dh = dH[t] + dh_next
+        tc = np.tanh(C[t])
         do = dh * tc
-        dc = dc_next + dh * O[:, t] * (1.0 - tc * tc)
-        di = dc * G[:, t]
-        dg = dc * I[:, t]
-        df = dc * Cprev[:, t]
-        dc_next = dc * F[:, t]
-        da[:H] = di * I[:, t] * (1.0 - I[:, t])
-        da[H:2 * H] = df * F[:, t] * (1.0 - F[:, t])
-        da[2 * H:3 * H] = dg * (1.0 - G[:, t] ** 2)
-        da[3 * H:] = do * O[:, t] * (1.0 - O[:, t])
-        dwx += np.outer(da, X[:, t])
-        dwh += np.outer(da, Hprev[:, t])
-        db += da
-        dX[:, t] = wx.T @ da
-        dh_next = wh.T @ da
-    p.w_x.grad += dwx
-    p.w_h.grad += dwh
-    p.b.grad += db
-    return dX
+        dc += dh * o * (1.0 - tc * tc)   # d C[t]: through C[t + 1] and h[t]
+        di = dc * g
+        dg = dc * i
+        df = dc * C[t - 1] if t else np.zeros((B, H))
+        dc *= f                          # now d C[t - 1]
+        i *= di * (1.0 - i)
+        f *= df * (1.0 - f)
+        np.multiply(dg, 1.0 - g * g, out=g)
+        o *= do * (1.0 - o)
+        dh_next = a @ wh
+    dA = A.reshape(T * B, 4 * H)
+    p.w_x.grad += dA.T @ X.reshape(T * B, d)
+    p.w_h.grad += A[1:].reshape(-1, 4 * H).T @ Hs[:-1].reshape(-1, H)
+    p.b.grad += dA.sum(axis=0)
 
 
-def bilstm_forward(X: np.ndarray, fwd: LstmParams, bwd: LstmParams):
-    """Contextual states (2H x m): forward-direction states stacked on backward.
+def reverse_index(lengths, T: int) -> np.ndarray:
+    """(T, B) time index that reverses each column within its own length
+    and leaves the padding in place; applying it twice is the identity."""
+    t = np.arange(T)[:, None]
+    L = np.asarray(lengths, dtype=np.intp)[None, :]
+    return np.where(t < L, L - 1 - t, t)
 
-    Column i holds the forward state after reading tokens 1..i on top of the
-    backward state after reading tokens m..i.  Initial states are zero.
+
+def bilstm_forward(X: np.ndarray, lengths, fwd: LstmParams, bwd: LstmParams):
+    """Contextual states (T, B, 2H) of a padded, time-major batch X (T, B, d).
+
+    Position t of column b holds the forward state after reading tokens
+    0..t on top of the backward state after reading tokens len_b - 1..t.
+    The backward direction runs on each column reversed within its length,
+    so its padding also trails.  States at padded positions are meaningless.
     Returns (H_ctx, cache for bilstm_backward).
     """
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValueError("bilstm_forward expects a d x m matrix with m >= 1")
+    T, B, _ = X.shape
+    if T < 1 or B < 1:
+        raise ValueError("bilstm_forward expects a non-empty T x B x d batch")
+    rev = reverse_index(lengths, T)
+    cols = np.arange(B)
     Hf, cf = lstm_forward(X, fwd)
-    Hb_rev, cb = lstm_forward(X[:, ::-1], bwd)
-    out = np.vstack([Hf, Hb_rev[:, ::-1]])
-    return out, (cf, cb)
+    Hb, cb = lstm_forward(X[rev, cols], bwd)
+    cb["X"] = None   # the reversed copy of X is made again while backward runs
+    return np.concatenate([Hf, Hb[rev, cols]], axis=2), (X, rev, cf, cb)
 
 
-def bilstm_backward(dOut: np.ndarray, cache, fwd: LstmParams, bwd: LstmParams) -> np.ndarray:
+def bilstm_backward(dOut: np.ndarray, cache, fwd: LstmParams, bwd: LstmParams) -> None:
+    """Backprop through bilstm_forward into both directions' grads; dOut
+    (T, B, 2H) must be zero at padded positions."""
+    X, rev, cf, cb = cache
     H = fwd.hidden_size
-    cf, cb = cache
-    dX = lstm_backward(dOut[:H], cf, fwd)
-    dX = dX + lstm_backward(np.ascontiguousarray(dOut[H:][:, ::-1]), cb, bwd)[:, ::-1]
-    return dX
+    cols = np.arange(rev.shape[1])
+    lstm_backward(dOut[:, :, :H], cf, fwd)
+    # the forward direction's buffers are freed before the reversed copies
+    # of X and dOut are made
+    cb["X"] = X[rev, cols]
+    lstm_backward(dOut[rev, cols, H:], cb, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 None of these run in training; each spells out one sentence or one sample
 at a time what the batched functions in ``metadapt`` compute in one pass.
+The per-sentence encoder (LSTM, BiLSTM, attention, fusion and their
+backward passes, one time step at a time) is the one the batched encoder
+replaced.
 """
 
 import numpy as np
@@ -9,7 +12,7 @@ from scipy.special import expit, logsumexp
 
 from metadapt import nn
 from metadapt.corpus import embed_sentence
-from metadapt.model import encode, gen_forward, ridge_fit, ridge_predict, with_bias
+from metadapt.model import ridge_fit, ridge_predict, with_bias
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -30,6 +33,193 @@ def lstm_cell(x, h_prev, c_prev, p: nn.LstmParams):
     c = f * np.asarray(c_prev, dtype=np.float64) + i * g
     h = o * np.tanh(c)
     return h, c
+
+
+def softmax(v, mask=None):
+    """Probability vector over the unmasked positions of one score vector."""
+    v = np.asarray(v, dtype=np.float64)
+    mask = np.ones(v.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    out = np.zeros_like(v)
+    e = np.exp(v[mask] - v[mask].max())
+    out[mask] = e / e.sum()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the per-sentence encoder
+
+
+def lstm_forward(X: np.ndarray, p: nn.LstmParams):
+    """Run the cell left-to-right over the columns of X (d x m), zero initial state.
+
+    Returns (H_out (H x m), cache for lstm_backward).
+    """
+    d, m = X.shape
+    H = p.hidden_size
+    wx, wh, b = p.w_x.value, p.w_h.value, p.b.value
+    I = np.empty((H, m)); F = np.empty((H, m)); G = np.empty((H, m)); O = np.empty((H, m))
+    C = np.empty((H, m)); Cprev = np.empty((H, m)); Hprev = np.empty((H, m))
+    Hout = np.empty((H, m))
+    h = np.zeros(H)
+    c = np.zeros(H)
+    for t in range(m):
+        Hprev[:, t] = h
+        Cprev[:, t] = c
+        a = wx @ X[:, t] + wh @ h + b
+        i = expit(a[:H]); f = expit(a[H:2 * H]); g = np.tanh(a[2 * H:3 * H]); o = expit(a[3 * H:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        I[:, t] = i; F[:, t] = f; G[:, t] = g; O[:, t] = o
+        C[:, t] = c
+        Hout[:, t] = h
+    cache = {"X": X, "I": I, "F": F, "G": G, "O": O, "C": C, "Cprev": Cprev, "Hprev": Hprev}
+    return Hout, cache
+
+
+def lstm_backward(dH: np.ndarray, cache: dict, p: nn.LstmParams) -> np.ndarray:
+    """Backprop through lstm_forward; accumulates into p grads, returns dX."""
+    X = cache["X"]
+    I, F, G, O = cache["I"], cache["F"], cache["G"], cache["O"]
+    C, Cprev, Hprev = cache["C"], cache["Cprev"], cache["Hprev"]
+    d, m = X.shape
+    H = I.shape[0]
+    wx, wh = p.w_x.value, p.w_h.value
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * H)
+    dX = np.zeros_like(X)
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    da = np.empty(4 * H)
+    for t in range(m - 1, -1, -1):
+        dh = dH[:, t] + dh_next
+        tc = np.tanh(C[:, t])
+        do = dh * tc
+        dc = dc_next + dh * O[:, t] * (1.0 - tc * tc)
+        di = dc * G[:, t]
+        dg = dc * I[:, t]
+        df = dc * Cprev[:, t]
+        dc_next = dc * F[:, t]
+        da[:H] = di * I[:, t] * (1.0 - I[:, t])
+        da[H:2 * H] = df * F[:, t] * (1.0 - F[:, t])
+        da[2 * H:3 * H] = dg * (1.0 - G[:, t] ** 2)
+        da[3 * H:] = do * O[:, t] * (1.0 - O[:, t])
+        dwx += np.outer(da, X[:, t])
+        dwh += np.outer(da, Hprev[:, t])
+        db += da
+        dX[:, t] = wx.T @ da
+        dh_next = wh.T @ da
+    p.w_x.grad += dwx
+    p.w_h.grad += dwh
+    p.b.grad += db
+    return dX
+
+
+def bilstm_forward(X: np.ndarray, fwd: nn.LstmParams, bwd: nn.LstmParams):
+    """Contextual states (2H x m): forward-direction states stacked on backward.
+
+    Column i holds the forward state after reading tokens 1..i on top of the
+    backward state after reading tokens m..i.  Initial states are zero.
+    Returns (H_ctx, cache for bilstm_backward).
+    """
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError("bilstm_forward expects a d x m matrix with m >= 1")
+    Hf, cf = lstm_forward(X, fwd)
+    Hb_rev, cb = lstm_forward(X[:, ::-1], bwd)
+    out = np.vstack([Hf, Hb_rev[:, ::-1]])
+    return out, (cf, cb)
+
+
+def bilstm_backward(dOut: np.ndarray, cache, fwd: nn.LstmParams,
+                    bwd: nn.LstmParams) -> np.ndarray:
+    H = fwd.hidden_size
+    cf, cb = cache
+    dX = lstm_backward(dOut[:H], cf, fwd)
+    dX = dX + lstm_backward(np.ascontiguousarray(dOut[H:][:, ::-1]), cb, bwd)[:, ::-1]
+    return dX
+
+
+def generate_attention(W: np.ndarray, gen, mask=None):
+    """Per-word attention weights for one sentence.
+
+    Scores each BiLSTM contextual state with the learned projection and
+    softmaxes across positions.  Returns (k (m,), cache for the backward
+    pass through the generator).
+    """
+    H_ctx, bc = bilstm_forward(W, gen.fwd, gen.bwd)
+    z = gen.attn_w.value @ H_ctx + gen.attn_b.value[0]
+    k = softmax(z, mask)
+    return k, (W, H_ctx, bc, k)
+
+
+def fuse(W: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Sentence embedding s = W k, the attention-weighted sum of word vectors."""
+    W = np.asarray(W, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    if W.ndim != 2 or k.ndim != 1 or W.shape[1] != k.shape[0]:
+        raise ValueError(f"fuse shape mismatch: {W.shape} with {k.shape}")
+    return W @ k
+
+
+def fuse_concat(W: np.ndarray, k: np.ndarray, max_len: int) -> np.ndarray:
+    """Ablation fusion: attention weights zero-padded to max_len, then the
+    column mean of W appended.  Output length is max_len + d."""
+    W = np.asarray(W, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    m = k.shape[0]
+    if m > max_len:
+        raise ValueError(f"sentence length {m} exceeds max_len {max_len}")
+    padded = np.zeros(max_len)
+    padded[:m] = k
+    return np.concatenate([padded, W.mean(axis=1)])
+
+
+def gen_forward(W: np.ndarray, gen, cfg):
+    """Encoder feature for one sentence (pre-bias) plus backward cache."""
+    if cfg.no_adversarial:
+        H_ctx, bc = bilstm_forward(W, gen.fwd, gen.bwd)
+        hbar = H_ctx.mean(axis=1)
+        s = gen.proj_w.value @ hbar + gen.proj_b.value
+        return s, ("pool", W, H_ctx, bc, hbar)
+    k, cache = generate_attention(W, gen)
+    W, H_ctx, bc, k = cache
+    if cfg.concat_fusion:
+        v = fuse_concat(W, k, cfg.max_len)
+        return v, ("concat", W, H_ctx, bc, k)
+    return fuse(W, k), ("fuse", W, H_ctx, bc, k)
+
+
+def gen_backward(dfeat: np.ndarray, cache, gen, cfg):
+    """Push d(loss)/d(feature) back into the generator's grads."""
+    kind = cache[0]
+    if kind == "pool":
+        _, W, H_ctx, bc, hbar = cache
+        gen.proj_w.grad += np.outer(dfeat, hbar)
+        gen.proj_b.grad += dfeat
+        dhbar = gen.proj_w.value.T @ dfeat
+        m = W.shape[1]
+        dH = np.repeat((dhbar / m)[:, None], m, axis=1)
+        bilstm_backward(dH, bc, gen.fwd, gen.bwd)
+        return
+    _, W, H_ctx, bc, k = cache
+    if kind == "concat":
+        dk = dfeat[:k.shape[0]]  # padding and mean-embedding parts carry no generator grad
+    else:
+        dk = W.T @ dfeat
+    dz = k * (dk - float(k @ dk))
+    gen.attn_w.grad += H_ctx @ dz
+    gen.attn_b.grad += dz.sum()
+    dH = np.outer(gen.attn_w.value, dz)
+    bilstm_backward(dH, bc, gen.fwd, gen.bwd)
+
+
+def encode(example, gen, table, cfg) -> np.ndarray:
+    """Classifier input feature (bias appended) of one sentence."""
+    return with_bias(gen_forward(embed_sentence(example, table), gen, cfg)[0])
+
+
+# ---------------------------------------------------------------------------
+# losses, one sample at a time
 
 
 def discriminate(s, disc) -> np.ndarray:
@@ -89,3 +279,39 @@ def episode_accuracy(episode, gen, cfg, table) -> float:
     hits = sum(int(np.argmax(ridge_predict(clf, encode(ex, gen, table, cfg)))) == y
                for ex, y in episode.query)
     return hits / len(episode.query)
+
+
+def gen_loss_and_grads(episode, clf, gen, disc, cfg, table) -> float:
+    """``model.generator_loss_and_grads`` one sentence at a time: each query
+    and source sentence is encoded and backpropagated on its own, and the
+    gradients accumulate into the generator's grads (zeroed first).  The
+    support set gets no gradient: theta is held fixed.  Returns the loss."""
+    for p in gen.params():
+        p.zero_grad()
+    nq = len(episode.query)
+    q = [gen_forward(embed_sentence(ex, table), gen, cfg) for ex, _ in episode.query]
+    s = [] if cfg.no_adversarial else [gen_forward(embed_sentence(ex, table), gen, cfg)
+                                      for ex in episode.source]
+    loss, dfeats = 0.0, []
+    for (f, _), (_, y) in zip(q, episode.query):
+        z = ridge_predict(clf, with_bias(f))
+        loss += cross_entropy(z, y) / nq
+        dz = softmax(z)
+        dz[y] -= 1.0
+        dfeats.append(clf.theta[:-1] @ dz / nq)
+    n = nq + len(s)
+    for j, (f, _) in enumerate([] if cfg.no_adversarial else q + s):
+        label = int(j >= nq)
+        logits, cache = nn.ffn_forward_cached(f, disc.layers)
+        loss -= cross_entropy(logits, label) / n
+        dlogits = softmax(logits)
+        dlogits[label] -= 1.0
+        # minus sign: the generator maximizes the discriminator's loss
+        d = nn.ffn_backward(-dlogits / n, cache, disc.layers, update_grads=False)
+        if j < nq:
+            dfeats[j] = dfeats[j] + d
+        else:
+            dfeats.append(d)
+    for d, (_, c) in zip(dfeats, q + s):
+        gen_backward(d, c, gen, cfg)
+    return loss

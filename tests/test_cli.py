@@ -139,6 +139,25 @@ class TestExitCodes:
         assert rc == 2
         assert f"data error: config key {shown}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,shown", [
+        ("lam=nan", "lam must be finite and > 0, got nan"),
+        ("lam=inf", "lam must be finite and > 0, got inf"),
+        ("hidden=0", "dim, hidden, and max_len must be >= 1"),
+        ("epochs=0", "epochs, episodes_per_epoch, and val_episodes must be >= 1"),
+        ("n_way=0", "n_way must be >= 2"),
+    ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way"])
+    def test_data_error_out_of_range_config(self, line, shown, synth_dir, tmp_path,
+                                            capsys):
+        config = tmp_path / "c.txt"
+        config.write_text(line + "\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"data error: config: {shown}" in capsys.readouterr().err
+        assert not out.exists()   # refused before any output is written
+
     def test_config_values_coerced(self):
         cfg = _coerce_config({"concat_fusion": 1, "no_adversarial": "off", "epochs": "3",
                               "lam": 2, "lr": "0.5", "source_excludes": "current"})
@@ -177,6 +196,19 @@ class TestMalformedSplit:
                    "--k-shot", "1", "--l-query", "2"])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+
+class TestSplitClassIds:
+    def test_unknown_ids_data_error(self, synth_dir, trained_dir, tmp_path, capsys):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"test_classes": [98, 99], "train_classes": [0]}))
+        rc = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.json"),
+                   "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--split", str(path), "--n-episodes", "2", "--n-way", "2",
+                   "--k-shot", "1", "--l-query", "2"])
+        assert rc == 2
+        assert "class ids [98, 99] are not in the corpus" in capsys.readouterr().err
 
 
 def _drop_attn_w(payload):

@@ -376,14 +376,14 @@ class TestEvaluationMemo:
     def test_encodes_each_distinct_example_once(self, monkeypatch):
         ds, table, vocab, split, spec, mcfg = small_setup()
         gen = GeneratorParams.init(mcfg, np.random.default_rng(12))
-        calls = []
-        real = model.gen_forward
+        calls = []   # one embed_sentence call per sentence encoded
+        real = model.embed_sentence
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(model, "gen_forward", counting)
+        monkeypatch.setattr(model, "embed_sentence", counting)
         meta_test(gen, mcfg, table, ds, split.test_classes, spec,
                   n_episodes=10, seeds=(5, 6))
         episodes = sampled_episodes(ds, split.test_classes, spec, 10, (5, 6))

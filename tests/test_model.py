@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,16 +10,16 @@ from metadapt.corpus import (EmbeddingTable, Example, Vocab, embed_sentence,
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt.harness import _tiny_instance, gen_synthetic_corpus
 from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams,
-                            ModelConfig, RidgeClassifier,
+                            ModelConfig, RidgeClassifier, attention_weights,
                             discriminator_loss_and_grads, domain_loss, encode,
                             episode_accuracy, episode_forward, episode_update,
-                            fit_episode_classifier, fuse, fuse_concat,
-                            gen_forward, generate_attention,
+                            fit_episode_classifier, gen_forward,
                             generator_loss_and_grads, ridge_fit, ridge_grad,
                             ridge_loss, ridge_predict, update_discriminator,
                             update_generator, with_bias)
 from metadapt.nn import AdamState, LstmParams, params_digest
-from oracles import cross_entropy, disc_loss, discriminate, gen_loss
+import oracles
+from oracles import cross_entropy, disc_loss, discriminate, fuse, fuse_concat, gen_loss
 from oracles import episode_accuracy as oracle_episode_accuracy
 
 LN2 = 0.6931471805599453
@@ -40,6 +41,19 @@ def zero_disc(cfg):
     return disc
 
 
+def attend(W, gen, cfg):
+    """Batched-encoder attention weights of one sentence whose word vectors
+    are the columns of W (d x m)."""
+    table = EmbeddingTable(matrix=W.T.copy(), dim=W.shape[0])
+    ex = Example(token_ids=tuple(range(W.shape[1])), label=0)
+    return attention_weights(ex, gen, table, cfg)
+
+
+def oracle_feature(ex, gen, cfg, table):
+    """Per-sentence encoder feature (before the bias) of one example."""
+    return oracles.gen_forward(embed_sentence(ex, table), gen, cfg)[0]
+
+
 class TestGenerateAttention:
     def test_zero_projection_uniform(self):
         rng = np.random.default_rng(0)
@@ -48,14 +62,14 @@ class TestGenerateAttention:
         gen.attn_w.value[:] = 0.0
         gen.attn_b.value[:] = 0.0
         W = rng.normal(size=(cfg.dim, 5))
-        k, _ = generate_attention(W, gen)
+        k = attend(W, gen, cfg)
         assert np.abs(k - 0.2).max() < 1e-15
 
     def test_single_position(self):
         rng = np.random.default_rng(1)
         cfg = small_cfg()
         gen = GeneratorParams.init(cfg, rng)
-        k, _ = generate_attention(rng.normal(size=(cfg.dim, 1)), gen)
+        k = attend(rng.normal(size=(cfg.dim, 1)), gen, cfg)
         assert k.shape == (1,)
         assert k[0] == 1.0
 
@@ -71,7 +85,7 @@ class TestGenerateAttention:
         gen.attn_w.value[cfg.hidden:] = gen.attn_w.value[:cfg.hidden]
         half = rng.normal(size=(cfg.dim, 3))
         W = np.concatenate([half, half[:, ::-1]], axis=1)
-        k, _ = generate_attention(W, gen)
+        k = attend(W, gen, cfg)
         m = W.shape[1]
         for i in range(m):
             assert abs(k[i] - k[m - 1 - i]) < 1e-12
@@ -81,7 +95,7 @@ class TestGenerateAttention:
         cfg = small_cfg()
         gen = GeneratorParams.init(cfg, rng)
         for m in (1, 2, 7):
-            k, _ = generate_attention(rng.normal(size=(cfg.dim, m)), gen)
+            k = attend(rng.normal(size=(cfg.dim, m)), gen, cfg)
             assert k.shape == (m,)
             assert (k >= 0).all()
             assert abs(k.sum() - 1.0) < 1e-12
@@ -200,6 +214,13 @@ class TestRidgeFit:
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             ridge_fit(np.ones((2, 2)), np.ones((2, 2)), lam=0.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ridge_fit(np.ones((2, 2)), np.ones((2, 2)), lam=lam)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            small_cfg(lam=lam)
 
     def test_non_finite_rejected(self):
         X = np.ones((2, 2))
@@ -370,12 +391,11 @@ class TestGenLoss:
     @staticmethod
     def batched(items, source, clf, gen, disc, cfg, table):
         """generator_loss_and_grads on these query items and source set."""
-        def enc(ex):
-            return gen_forward(embed_sentence(ex, table), gen, cfg)
-        fwd = EpisodeForward(support_feats=[], support_labels=np.zeros(0, dtype=np.intp),
-                             query=[enc(ex) for ex, _ in items],
+        feats, cache = gen_forward([ex for ex, _ in items] + list(source), gen, table, cfg)
+        fwd = EpisodeForward(feats=feats, cache=cache,
+                             support_labels=np.zeros(0, dtype=np.intp),
                              query_labels=np.array([y for _, y in items]),
-                             source=[enc(ex) for ex in source], n_way=clf.theta.shape[1])
+                             n_way=clf.theta.shape[1])
         return generator_loss_and_grads(fwd, clf, gen, disc, cfg)[0]
 
     def test_chance_discriminator_decomposition(self):
@@ -385,7 +405,7 @@ class TestGenLoss:
         clf = RidgeClassifier(theta=rng.normal(size=(cfg.dim + 1, 5)), lam=1.0)
         got = self.batched(items, source, clf, gen, disc, cfg, table)
         ce = np.mean([cross_entropy(
-            ridge_predict(clf, with_bias(gen_forward(embed_sentence(ex, table), gen, cfg)[0])), y)
+            ridge_predict(clf, with_bias(oracle_feature(ex, gen, cfg, table))), y)
             for ex, y in items])
         assert abs(got - (ce - LN2)) < 1e-12
 
@@ -402,8 +422,8 @@ class TestGenLoss:
         disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
         clf = RidgeClassifier(theta=rng.normal(size=(cfg.dim + 1, 5)), lam=1.0)
         got = self.batched(items, source, clf, gen, disc, cfg, table)
-        q_embs = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex, _ in items]
-        s_embs = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex in source]
+        q_embs = [oracle_feature(ex, gen, cfg, table) for ex, _ in items]
+        s_embs = [oracle_feature(ex, gen, cfg, table) for ex in source]
         ce = np.mean([cross_entropy(ridge_predict(clf, with_bias(f)), y)
                       for f, (_, y) in zip(q_embs, items)])
         ld = disc_loss(q_embs, s_embs, disc)
@@ -447,9 +467,78 @@ class TestTrainedLossesMatchOracle:
             assert abs(got - want) < 1e-12
             if cfg.no_adversarial:
                 continue
-            q = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex, _ in episode.query]
-            s = [gen_forward(embed_sentence(ex, table), gen, cfg)[0] for ex in episode.source]
+            q = [oracle_feature(ex, gen, cfg, table) for ex, _ in episode.query]
+            s = [oracle_feature(ex, gen, cfg, table) for ex in episode.source]
             assert abs(discriminator_loss_and_grads(fwd, disc) - disc_loss(q, s, disc)) < 1e-12
+
+
+def with_extremes(episode, cfg):
+    """The episode with its first two queries replaced by a one-token
+    sentence and a max_len one, so a batch spans every length."""
+    (ex0, y0), (ex1, y1) = episode.query[:2]
+    short = Example(token_ids=ex0.token_ids[:1], label=ex0.label)
+    long = Example(token_ids=tuple(i % 12 for i in range(cfg.max_len)), label=ex1.label)
+    return dataclasses.replace(episode, query=((short, y0), (long, y1)) + episode.query[2:])
+
+
+def episode_examples(episode, cfg):
+    """The sentences episode_forward encodes, in its row order."""
+    out = [ex for ex, _ in episode.support + episode.query]
+    return out if cfg.no_adversarial else out + list(episode.source)
+
+
+class TestBatchedEncoder:
+    """One padded BiLSTM pass per episode against the per-sentence oracle."""
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_features_and_gradients_match_oracle(self, variant):
+        for seed in range(4):
+            kw = {} if variant == "default" else {variant: True}
+            episode, gen, disc, cfg, table = ragged_instance(seed, **kw)
+            episode = with_extremes(episode, cfg)
+            fwd = episode_forward(episode, gen, cfg, table)
+            want = np.stack([oracle_feature(ex, gen, cfg, table)
+                             for ex in episode_examples(episode, cfg)])
+            assert fwd.feats.shape == want.shape
+            assert np.abs(fwd.feats - want).max() < 1e-12
+
+            clf, _ = fit_episode_classifier(fwd, cfg.lam)
+            loss, _ = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
+            got = [p.grad.copy() for p in gen.params()]
+            want_loss = oracles.gen_loss_and_grads(episode, clf, gen, disc, cfg, table)
+            assert abs(loss - want_loss) < 1e-12
+            # attn_b's gradient is zero up to rounding (softmax is shift
+            # invariant), so the bar is relative to the largest gradient
+            scale = max(np.abs(p.grad).max() for p in gen.params())
+            for g, p in zip(got, gen.params()):
+                assert np.abs(g - p.grad).max() < 1e-12 * scale
+
+    def test_generator_gradient_finite_differences(self):
+        episode, gen, disc, cfg, table = ragged_instance(5)
+        episode = with_extremes(episode, cfg)
+        clf, _ = fit_episode_classifier(episode_forward(episode, gen, cfg, table), cfg.lam)
+
+        def loss_fn():
+            fwd = episode_forward(episode, gen, cfg, table)
+            return generator_loss_and_grads(fwd, clf, gen, disc, cfg)[0]
+
+        # the step of run_gradient_checks' generator check (see its docstring)
+        err = nn.grad_check(loss_fn, gen.params(), eps=1e-4, n_coords=300,
+                            rng=np.random.default_rng(5))
+        assert err < 1e-5
+
+    def test_batch_composition_does_not_matter(self):
+        episode, gen, disc, cfg, table = ragged_instance(6)
+        examples = episode_examples(with_extremes(episode, cfg), cfg)
+        feats, _ = gen_forward(examples, gen, table, cfg)
+        for j, ex in enumerate(examples):
+            assert np.abs(gen_forward([ex], gen, table, cfg)[0][0] - feats[j]).max() < 1e-12
+
+    def test_concat_fusion_rejects_overlong_sentence(self):
+        episode, gen, disc, cfg, table = ragged_instance(7, concat_fusion=True)
+        too_long = Example(token_ids=(1,) * (cfg.max_len + 1), label=0)
+        with pytest.raises(ValueError, match="max_len"):
+            gen_forward([too_long], gen, table, cfg)
 
 
 class TestEpisodePhases:
@@ -531,14 +620,14 @@ class TestEpisodePhases:
         # acceptance shape: 4-way 1-shot 5-query with 20 source sentences
         ds, table, _ = gen_synthetic_corpus(8, 10, 12, 2, 6, 32, seed=5)
         spec = EpisodeSpec(n_way=4, k_shot=1, l_query=5)
-        calls = []
-        real = model.gen_forward
+        calls = []   # one embed_sentence call per sentence encoded
+        real = model.embed_sentence
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(model, "gen_forward", counting)
+        monkeypatch.setattr(model, "embed_sentence", counting)
         for no_adversarial, want in ((False, 44), (True, 24)):
             cfg = ModelConfig(dim=32, hidden=16, lam=0.1, max_len=12,
                               no_adversarial=no_adversarial)
@@ -577,7 +666,7 @@ class TestEncode:
         gen = GeneratorParams.init(cfg, rng)
         ex = ds.examples[0]
         W = embed_sentence(ex, table)
-        k, _ = generate_attention(W, gen)
+        k = attention_weights(ex, gen, table, cfg)
         want = with_bias(fuse(W, k))
         assert np.array_equal(encode(ex, gen, table, cfg), want)
 

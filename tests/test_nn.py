@@ -9,7 +9,9 @@ from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
                          ffn_backward, ffn_forward, ffn_forward_cached,
                          grad_check, load_arrays, lstm_backward, lstm_forward,
-                         one_hot, save_arrays, softmax, softmax_cross_entropy)
+                         one_hot, reverse_index, save_arrays, softmax,
+                         softmax_cross_entropy)
+import oracles
 from oracles import cross_entropy, lstm_cell
 
 # frozen via 40-digit evaluation of e/(1+e) and log1p(exp(-20))
@@ -126,13 +128,29 @@ class TestLstmCell:
         assert np.abs(p.w_h.value).max() <= limit
 
 
+def padded(columns):
+    """Time-major padded batch (T, B, d) of sequences given as d x m_b
+    matrices, each from t = 0 and zero-padded at its end, and the lengths."""
+    lengths = [c.shape[1] for c in columns]
+    X = np.zeros((max(lengths), len(columns), columns[0].shape[0]))
+    for b, c in enumerate(columns):
+        X[:c.shape[1], b] = c.T
+    return X, lengths
+
+
+def bilstm1(X, fwd, bwd):
+    """bilstm_forward on a batch of one sequence X (d x m); returns 2H x m."""
+    out, _ = bilstm_forward(*padded([X]), fwd, bwd)
+    return out[:, 0].T
+
+
 class TestBilstm:
     def test_single_token(self):
         rng = np.random.default_rng(3)
         fwd = LstmParams.init(3, 2, rng)
         bwd = LstmParams.init(3, 2, rng)
         X = rng.normal(size=(3, 1))
-        out, _ = bilstm_forward(X, fwd, bwd)
+        out = bilstm1(X, fwd, bwd)
         assert out.shape == (4, 1)
         hf, _ = lstm_cell(X[:, 0], np.zeros(2), np.zeros(2), fwd)
         hb, _ = lstm_cell(X[:, 0], np.zeros(2), np.zeros(2), bwd)
@@ -144,7 +162,7 @@ class TestBilstm:
         zp = LstmParams(Param(np.zeros((4 * H, d))), Param(np.zeros((4 * H, H))),
                         Param(np.zeros(4 * H)))
         X = np.random.default_rng(0).normal(size=(d, 4))
-        out, _ = bilstm_forward(X, zp, zp)
+        out = bilstm1(X, zp, zp)
         assert np.array_equal(out, np.zeros((4, 4)))
 
     def test_palindrome_symmetry(self):
@@ -153,7 +171,7 @@ class TestBilstm:
         p = LstmParams.init(3, 2, rng)
         half = rng.normal(size=(3, 3))
         X = np.concatenate([half, half[:, ::-1]], axis=1)  # m = 6 palindrome
-        out, _ = bilstm_forward(X, p, p)
+        out = bilstm1(X, p, p)
         m = X.shape[1]
         for k in range(m):
             assert np.abs(out[:2, k] - out[2:, m - 1 - k]).max() < 1e-12
@@ -163,12 +181,71 @@ class TestBilstm:
         fwd = LstmParams.init(3, 2, rng)
         bwd = LstmParams.init(3, 2, rng)
         X = rng.normal(size=(3, 5))
-        out, _ = bilstm_forward(X, fwd, bwd)
+        out = bilstm1(X, fwd, bwd)
         h = np.zeros(2)
         c = np.zeros(2)
         for t in range(5):
             h, c = lstm_cell(X[:, t], h, c, fwd)
             assert np.allclose(out[:2, t], h, atol=1e-15)
+
+
+class TestPaddedBatch:
+    """The batched kernels against the per-sentence reference, column by
+    column, on sequences of lengths 1 to T padded at their ends."""
+
+    LENGTHS = [3, 1, 6, 4, 6]
+
+    def test_lstm_matches_per_sentence(self):
+        rng = np.random.default_rng(20)
+        d, H = 4, 3
+        p = LstmParams.init(d, H, rng)
+        X, valid = ragged_batch(rng, d, self.LENGTHS)
+        dH = rng.normal(size=X.shape[:2] + (H,)) * valid
+        out, cache = lstm_forward(X, p)
+        lstm_backward(dH, cache, p)
+        got = [q.grad.copy() for q in p.params()]
+        for q in p.params():
+            q.zero_grad()
+        for b, m in enumerate(self.LENGTHS):
+            want, c = oracles.lstm_forward(X[:m, b].T, p)
+            assert np.abs(out[:m, b] - want.T).max() < 1e-12
+            oracles.lstm_backward(dH[:m, b].T.copy(), c, p)
+        for g, q in zip(got, p.params()):
+            assert np.abs(g - q.grad).max() < 1e-12 * np.abs(q.grad).max()
+
+    def test_bilstm_matches_per_sentence(self):
+        rng = np.random.default_rng(21)
+        d, H = 4, 3
+        fwd, bwd = LstmParams.init(d, H, rng), LstmParams.init(d, H, rng)
+        X, valid = ragged_batch(rng, d, self.LENGTHS)
+        dOut = rng.normal(size=X.shape[:2] + (2 * H,)) * valid
+        out, cache = bilstm_forward(X, self.LENGTHS, fwd, bwd)
+        bilstm_backward(dOut, cache, fwd, bwd)
+        params = fwd.params() + bwd.params()
+        got = [q.grad.copy() for q in params]
+        for q in params:
+            q.zero_grad()
+        for b, m in enumerate(self.LENGTHS):
+            want, c = oracles.bilstm_forward(X[:m, b].T, fwd, bwd)
+            assert np.abs(out[:m, b] - want.T).max() < 1e-12
+            oracles.bilstm_backward(dOut[:m, b].T.copy(), c, fwd, bwd)
+        for g, q in zip(got, params):
+            assert np.abs(g - q.grad).max() < 1e-12 * np.abs(q.grad).max()
+
+    def test_reverse_index_is_an_involution(self):
+        rev = reverse_index(self.LENGTHS, 6)
+        assert rev[:, 1].tolist() == [0, 1, 2, 3, 4, 5]
+        assert rev[:, 0].tolist() == [2, 1, 0, 3, 4, 5]
+        cols = np.arange(len(self.LENGTHS))
+        assert np.array_equal(rev[rev, cols], np.broadcast_to(np.arange(6)[:, None], rev.shape))
+
+    def test_cache_serves_one_backward_pass(self):
+        rng = np.random.default_rng(22)
+        p = LstmParams.init(2, 2, rng)
+        out, cache = lstm_forward(rng.normal(size=(3, 2, 2)), p)
+        lstm_backward(np.ones_like(out), cache, p)
+        with pytest.raises(ValueError, match="consumed"):
+            lstm_backward(np.ones_like(out), cache, p)
 
 
 class TestFfn:
@@ -262,13 +339,21 @@ class TestCrossEntropy:
         assert abs(softmax_cross_entropy(logits, labels)[0] - want) < 1e-12
 
 
+def ragged_batch(rng, d, lengths):
+    """Padded batch of random sequences and its validity mask (T, B, 1)."""
+    X, _ = padded([rng.normal(size=(d, m)) for m in lengths])
+    valid = (np.arange(X.shape[0])[:, None] < np.asarray(lengths)[None, :])[:, :, None]
+    return X, valid
+
+
 class TestBackwardPasses:
     def test_lstm_backward_grad_check(self):
+        # a ragged batch: the loss reads no padded step
         rng = np.random.default_rng(9)
-        d, H, m = 3, 4, 5
+        d, H, lengths = 3, 4, [5, 2, 4]
         p = LstmParams.init(d, H, rng)
-        X = rng.normal(size=(d, m))
-        w_out = rng.normal(size=(H, m))
+        X, valid = ragged_batch(rng, d, lengths)
+        w_out = rng.normal(size=(5, 3, H)) * valid
 
         def loss_fn():
             out, cache = lstm_forward(X, p)
@@ -279,14 +364,14 @@ class TestBackwardPasses:
 
     def test_bilstm_backward_grad_check(self):
         rng = np.random.default_rng(10)
-        d, H, m = 3, 3, 4
+        d, H, lengths = 3, 3, [4, 1, 3]
         fwd = LstmParams.init(d, H, rng)
         bwd = LstmParams.init(d, H, rng)
-        X = rng.normal(size=(d, m))
-        w_out = rng.normal(size=(2 * H, m))
+        X, valid = ragged_batch(rng, d, lengths)
+        w_out = rng.normal(size=(4, 3, 2 * H)) * valid
 
         def loss_fn():
-            out, cache = bilstm_forward(X, fwd, bwd)
+            out, cache = bilstm_forward(X, lengths, fwd, bwd)
             bilstm_backward(w_out, cache, fwd, bwd)
             return float((w_out * out).sum())
 
@@ -294,19 +379,21 @@ class TestBackwardPasses:
                           n_coords=1000, rng=rng) < 1e-5
 
     def test_lstm_input_gradient(self):
+        # the per-sentence reference's input gradient; the batched kernel
+        # computes none, since the word vectors are never trained
         rng = np.random.default_rng(11)
         d, H, m = 3, 2, 4
         p = LstmParams.init(d, H, rng)
         X = rng.normal(size=(d, m))
         w_out = rng.normal(size=(H, m))
-        out, cache = lstm_forward(X, p)
-        dX = lstm_backward(w_out, cache, p)
+        out, cache = oracles.lstm_forward(X, p)
+        dX = oracles.lstm_backward(w_out, cache, p)
         eps = 1e-6
         for idx in np.ndindex(d, m):
             Xp = X.copy(); Xp[idx] += eps
             Xm = X.copy(); Xm[idx] -= eps
-            lp = float((w_out * lstm_forward(Xp, p)[0]).sum())
-            lm = float((w_out * lstm_forward(Xm, p)[0]).sum())
+            lp = float((w_out * oracles.lstm_forward(Xp, p)[0]).sum())
+            lm = float((w_out * oracles.lstm_forward(Xm, p)[0]).sum())
             assert abs((lp - lm) / (2 * eps) - dX[idx]) < 1e-7
 
     def test_ffn_backward_grad_check(self):
@@ -398,18 +485,20 @@ class TestGradCheck:
         assert abs(err - 1.0 / 3.0) < 1e-6
 
     def test_attention_pipeline(self):
-        # LSTM + softmax-attention + fuse on a random 3-token input
-        from metadapt.model import GeneratorParams, ModelConfig, gen_forward, gen_backward
+        # LSTM + softmax-attention + fuse on a batch of 3-, 1- and 2-token inputs
+        from metadapt.corpus import EmbeddingTable, Example
+        from metadapt.model import GeneratorParams, ModelConfig, gen_backward, gen_forward
         rng = np.random.default_rng(17)
         cfg = ModelConfig(dim=4, hidden=3, max_len=8, disc_hidden=(4, 4))
         gen = GeneratorParams.init(cfg, rng)
-        W = rng.normal(size=(4, 3))
-        target = rng.normal(size=4)
+        table = EmbeddingTable(matrix=rng.normal(size=(6, 4)), dim=4)
+        batch = [Example(ids, 0) for ids in ((0, 1, 2), (3,), (4, 5))]
+        target = rng.normal(size=(3, 4))
 
         def loss_fn():
-            s, cache = gen_forward(W, gen, cfg)
+            s, cache = gen_forward(batch, gen, table, cfg)
             gen_backward(target, cache, gen, cfg)
-            return float(target @ s)
+            return float((target * s).sum())
 
         assert grad_check(loss_fn, gen.params(), n_coords=1000, rng=rng) < 1e-5
 
@@ -468,12 +557,12 @@ class TestPurityAndStability:
     def test_forward_ops_bit_identical(self):
         rng = np.random.default_rng(18)
         p = LstmParams.init(3, 2, rng)
-        X = rng.normal(size=(3, 4))
+        X = rng.normal(size=(4, 2, 3))
         a1, _ = lstm_forward(X, p)
         a2, _ = lstm_forward(X, p)
         assert a1.tobytes() == a2.tobytes()
-        s1 = softmax(X[0])
-        s2 = softmax(X[0])
+        s1 = softmax(X[0, 0])
+        s2 = softmax(X[0, 0])
         assert s1.tobytes() == s2.tobytes()
 
     def test_no_nan_on_extreme_logits(self):
