@@ -13,6 +13,6 @@ from .model import (DiscriminatorParams, EpisodeMetrics, GeneratorParams,
                     ModelConfig, RidgeClassifier, attention_weights, encode,
                     episode_update, ridge_fit, ridge_predict)
 from .nn import (AdamState, LstmParams, NumericalError, Param, adam_step,
-                 bilstm_forward, ffn_forward, grad_check, softmax)
+                 bilstm_forward, grad_check, softmax)
 
 __version__ = "0.1.0"

@@ -135,6 +135,16 @@ def _cmd_train(args) -> int:
                                 disc_hidden=(cfg["disc_hidden1"], cfg["disc_hidden2"]))
     except ValueError as exc:
         raise DataError(f"config: {exc}") from None
+    # one throwaway draw from each split runs sample_episode's own checks on
+    # n_way, the examples per class and the source pool before any output
+    trial_rng = np.random.default_rng(0)
+    for name, classes, with_source in (("train", split.train_classes, True),
+                                       ("validation", split.val_classes, False)):
+        try:
+            sample_episode(dataset, classes, spec, trial_rng, with_source=with_source,
+                           source_excludes=train_cfg.source_excludes)
+        except ValueError as exc:
+            raise DataError(f"{name} split: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,9 @@ metric persistence, and attention/embedding dumps."""
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -17,7 +19,7 @@ from . import model, nn
 from .corpus import (ClassSplit, DataError, Dataset, EmbeddingTable, Example, Vocab,
                      make_dataset)
 from .episodes import Episode, EpisodeSpec, sample_episode
-from .model import DiscriminatorParams, GeneratorParams, ModelConfig
+from .model import DiscriminatorParams, EpisodeMetrics, GeneratorParams, ModelConfig
 from .nn import AdamState, NumericalError
 
 logger = logging.getLogger(__name__)
@@ -45,19 +47,18 @@ class TrainConfig:
 
 @dataclass
 class MetricsRecord:
+    """One training episode's metrics, where and when it ran."""
+
     epoch: int
     episode: int
-    ridge_loss: float
-    disc_loss: float
-    gen_loss: float
-    query_accuracy: float
+    metrics: EpisodeMetrics
     wall_time: float
 
     def to_dict(self) -> dict:
+        """The ``metrics.jsonl`` line: epoch, episode, the metrics' fields in
+        their declared order, then wall_time."""
         return {"epoch": self.epoch, "episode": self.episode,
-                "ridge_loss": self.ridge_loss, "disc_loss": self.disc_loss,
-                "gen_loss": self.gen_loss, "query_accuracy": self.query_accuracy,
-                "wall_time": self.wall_time}
+                **dataclasses.asdict(self.metrics), "wall_time": self.wall_time}
 
 
 @dataclass
@@ -138,7 +139,7 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
 
     history: list[MetricsRecord] = []
     val_accuracies: list[float] = []
-    best_gen, best_disc = gen.clone(), disc.clone()
+    best_gen, best_disc = copy.deepcopy((gen, disc))
     best_acc = -math.inf
     best_epoch = -1
     since_improved = 0
@@ -154,9 +155,7 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
                 try:
                     m = model.episode_update(ep, gen, disc, model_cfg, table,
                                              opt_gen, opt_disc)
-                    rec = MetricsRecord(epoch=epoch, episode=j, ridge_loss=m.ridge_loss,
-                                        disc_loss=m.disc_loss, gen_loss=m.gen_loss,
-                                        query_accuracy=m.query_accuracy,
+                    rec = MetricsRecord(epoch=epoch, episode=j, metrics=m,
                                         wall_time=clock() - t0)
                     history.append(rec)
                     if metrics_fh:
@@ -186,7 +185,7 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_epoch = epoch
-                best_gen, best_disc = gen.clone(), disc.clone()
+                best_gen, best_disc = copy.deepcopy((gen, disc))
                 since_improved = 0
             else:
                 since_improved += 1
@@ -216,7 +215,8 @@ def _write_csv_summary(path, history, val_accuracies, episodes_per_epoch):
         w.writerow(["epoch", "ridge_loss", "disc_loss", "gen_loss",
                     "train_accuracy", "val_accuracy"])
         for epoch, val_acc in enumerate(val_accuracies):
-            rows = history[epoch * episodes_per_epoch:(epoch + 1) * episodes_per_epoch]
+            rows = [r.metrics for r in
+                    history[epoch * episodes_per_epoch:(epoch + 1) * episodes_per_epoch]]
             if not rows:
                 break
             w.writerow([epoch,
@@ -440,14 +440,14 @@ def save_checkpoint(path, gen: GeneratorParams, disc: DiscriminatorParams,
                     model_cfg: ModelConfig):
     """Write generator + discriminator + config as a named-array container."""
     nn.save_arrays(path, {**gen.named_arrays(), **disc.named_arrays()},
-                   config=model_cfg.to_dict())
+                   config=dataclasses.asdict(model_cfg))
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (gen, disc, model_cfg).
 
-    The arrays must carry exactly the names and shapes of freshly initialised
-    parameters for the stored config; anything else raises DataError.
+    The parameters are built for the stored config, and the arrays must
+    carry exactly their names and shapes; anything else raises DataError.
     """
     arrays, config = nn.load_arrays(path)
     try:
@@ -455,17 +455,16 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad model config: {exc!r}") from None
     rng = np.random.default_rng(0)
-    template = {**GeneratorParams.init(model_cfg, rng).named_arrays(),
-                **DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden,
-                                           rng).named_arrays()}
-    for name in sorted(template.keys() | arrays.keys()):
+    gen = GeneratorParams.init(model_cfg, rng)
+    disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, rng)
+    params = {**gen.named_params(), **disc.named_params()}
+    for name in sorted(params.keys() | arrays.keys()):
         if name not in arrays:
             raise DataError(f"{path}: missing array {name}")
-        if name not in template:
+        if name not in params:
             raise DataError(f"{path}: unexpected array {name}")
-        if arrays[name].shape != template[name].shape:
+        if arrays[name].shape != params[name].value.shape:
             raise DataError(f"{path}: array {name} has shape {arrays[name].shape}, "
-                            f"its config needs {template[name].shape}")
-    gen = GeneratorParams.from_named_arrays(arrays)
-    disc = DiscriminatorParams.from_named_arrays(arrays)
+                            f"its config needs {params[name].value.shape}")
+        params[name].value[...] = arrays[name]
     return gen, disc, model_cfg

@@ -45,6 +45,8 @@ class ModelConfig:
             raise ValueError("dim, hidden, and max_len must be >= 1")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
+        if len(self.disc_hidden) != 2 or min(self.disc_hidden) < 1:
+            raise ValueError(f"disc_hidden must be two widths >= 1, got {self.disc_hidden!r}")
         if self.no_adversarial and self.concat_fusion:
             raise ValueError("conflicting ablation flags: no_adversarial and concat_fusion")
 
@@ -58,13 +60,6 @@ class ModelConfig:
         """Classifier input width including the appended bias feature."""
         return self.encoder_dim + 1
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim, "hidden": self.hidden, "lam": self.lam,
-            "no_adversarial": self.no_adversarial, "concat_fusion": self.concat_fusion,
-            "max_len": self.max_len, "disc_hidden": list(self.disc_hidden),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(dim=int(d["dim"]), hidden=int(d["hidden"]), lam=float(d["lam"]),
@@ -73,8 +68,20 @@ class ModelConfig:
                    disc_hidden=tuple(int(h) for h in d["disc_hidden"]))
 
 
+class _ParamSet:
+    """A parameter set whose ``named_params()`` lists every Param under its
+    checkpoint name.  That order is also the Adam moment order and the
+    checkpoint's array order."""
+
+    def params(self) -> list[Param]:
+        return list(self.named_params().values())
+
+    def named_arrays(self) -> dict:
+        return {name: p.value for name, p in self.named_params().items()}
+
+
 @dataclass
-class GeneratorParams:
+class GeneratorParams(_ParamSet):
     """BiLSTM plus attention projection (and, for the plain-encoder ablation,
     a mean-pool projection back to word-vector width)."""
 
@@ -99,47 +106,18 @@ class GeneratorParams:
         return cls(fwd=fwd, bwd=bwd, attn_w=attn_w, attn_b=attn_b,
                    proj_w=proj_w, proj_b=proj_b)
 
-    def params(self) -> list[Param]:
-        out = self.fwd.params() + self.bwd.params() + [self.attn_w, self.attn_b]
+    def named_params(self) -> dict[str, Param]:
+        out = {f"gen.{side}.{name}": p
+               for side, lstm in (("fwd", self.fwd), ("bwd", self.bwd))
+               for name, p in (("w_x", lstm.w_x), ("w_h", lstm.w_h), ("b", lstm.b))}
+        out["gen.attn_w"], out["gen.attn_b"] = self.attn_w, self.attn_b
         if self.proj_w is not None:
-            out += [self.proj_w, self.proj_b]
+            out["gen.proj_w"], out["gen.proj_b"] = self.proj_w, self.proj_b
         return out
-
-    def clone(self) -> "GeneratorParams":
-        return GeneratorParams(
-            fwd=self.fwd.clone(), bwd=self.bwd.clone(),
-            attn_w=Param(self.attn_w.value.copy()), attn_b=Param(self.attn_b.value.copy()),
-            proj_w=None if self.proj_w is None else Param(self.proj_w.value.copy()),
-            proj_b=None if self.proj_b is None else Param(self.proj_b.value.copy()),
-        )
-
-    def named_arrays(self) -> dict:
-        out = {
-            "gen.fwd.w_x": self.fwd.w_x.value, "gen.fwd.w_h": self.fwd.w_h.value,
-            "gen.fwd.b": self.fwd.b.value,
-            "gen.bwd.w_x": self.bwd.w_x.value, "gen.bwd.w_h": self.bwd.w_h.value,
-            "gen.bwd.b": self.bwd.b.value,
-            "gen.attn_w": self.attn_w.value, "gen.attn_b": self.attn_b.value,
-        }
-        if self.proj_w is not None:
-            out["gen.proj_w"] = self.proj_w.value
-            out["gen.proj_b"] = self.proj_b.value
-        return out
-
-    @classmethod
-    def from_named_arrays(cls, arrays: dict) -> "GeneratorParams":
-        def lstm(prefix):
-            return LstmParams(Param(arrays[prefix + ".w_x"]), Param(arrays[prefix + ".w_h"]),
-                              Param(arrays[prefix + ".b"]))
-        proj_w = Param(arrays["gen.proj_w"]) if "gen.proj_w" in arrays else None
-        proj_b = Param(arrays["gen.proj_b"]) if "gen.proj_b" in arrays else None
-        return cls(fwd=lstm("gen.fwd"), bwd=lstm("gen.bwd"),
-                   attn_w=Param(arrays["gen.attn_w"]), attn_b=Param(arrays["gen.attn_b"]),
-                   proj_w=proj_w, proj_b=proj_b)
 
 
 @dataclass
-class DiscriminatorParams:
+class DiscriminatorParams(_ParamSet):
     """Three affine layers (input -> h1 -> h2 -> 2) with ReLU hidden activations."""
 
     layers: list  # [(w: Param, b: Param, activation), ...]
@@ -155,36 +133,9 @@ class DiscriminatorParams:
                            Param(np.zeros(out_d)), act))
         return cls(layers=layers)
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0][0].value.shape[1]
-
-    def params(self) -> list[Param]:
-        return [p for w, b, _ in self.layers for p in (w, b)]
-
-    def clone(self) -> "DiscriminatorParams":
-        return DiscriminatorParams(layers=[
-            (Param(w.value.copy()), Param(b.value.copy()), act) for w, b, act in self.layers])
-
-    def named_arrays(self) -> dict:
-        out = {}
-        for i, (w, b, _) in enumerate(self.layers, start=1):
-            out[f"disc.layer{i}.w"] = w.value
-            out[f"disc.layer{i}.b"] = b.value
-        return out
-
-    @classmethod
-    def from_named_arrays(cls, arrays: dict) -> "DiscriminatorParams":
-        layers = []
-        i = 1
-        while f"disc.layer{i}.w" in arrays:
-            act = "linear" if f"disc.layer{i + 1}.w" not in arrays else "relu"
-            layers.append((Param(arrays[f"disc.layer{i}.w"]),
-                           Param(arrays[f"disc.layer{i}.b"]), act))
-            i += 1
-        if not layers:
-            raise ValueError("no discriminator layers in checkpoint")
-        return cls(layers=layers)
+    def named_params(self) -> dict[str, Param]:
+        return {f"disc.layer{i}.{name}": p for i, (w, b, _) in enumerate(self.layers, start=1)
+                for name, p in (("w", w), ("b", b))}
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +280,6 @@ def ridge_loss(X: np.ndarray, Y: np.ndarray, clf: RidgeClassifier) -> float:
     m = X.shape[0]
     R = X @ clf.theta - Y
     return float((R * R).sum() / (2.0 * m) + 0.5 * clf.lam * (clf.theta ** 2).sum())
-
-
-def ridge_grad(X: np.ndarray, Y: np.ndarray, clf: RidgeClassifier) -> np.ndarray:
-    """Gradient of the ridge objective at theta (zero at the fit)."""
-    m = X.shape[0]
-    return X.T @ (X @ clf.theta - Y) / m + clf.lam * clf.theta
 
 
 def ridge_predict(clf: RidgeClassifier, s: np.ndarray) -> np.ndarray:

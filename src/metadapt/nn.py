@@ -15,9 +15,8 @@ buffer.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -40,16 +39,11 @@ class Param:
     """A weight array with an accumulated gradient of the same shape."""
 
     value: np.ndarray
-    grad: np.ndarray = None
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        else:
-            self.grad = np.ascontiguousarray(self.grad, dtype=np.float64)
-            if self.grad.shape != self.value.shape:
-                raise ValueError("grad shape does not match value shape")
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -59,14 +53,6 @@ def uniform_init(shape, fan, rng: np.random.Generator) -> np.ndarray:
     """Uniform(-1/sqrt(fan), 1/sqrt(fan)) initial weights."""
     limit = 1.0 / np.sqrt(fan)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def params_digest(params) -> str:
-    """Hex digest of parameter values, for phase-isolation checks."""
-    h = hashlib.sha256()
-    for p in params:
-        h.update(np.ascontiguousarray(p.value).tobytes())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +147,6 @@ class LstmParams:
 
     def params(self) -> list[Param]:
         return [self.w_x, self.w_h, self.b]
-
-    def clone(self) -> "LstmParams":
-        return LstmParams(Param(self.w_x.value.copy()), Param(self.w_h.value.copy()),
-                          Param(self.b.value.copy()))
 
 
 def lstm_forward(X: np.ndarray, p: LstmParams):
@@ -298,17 +280,13 @@ def _activation(name: str):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def ffn_forward(x, layers) -> np.ndarray:
-    """Sequential affine + activation layers.
+def ffn_forward_cached(x, layers):
+    """Sequential affine + activation layers, with the cache ffn_backward needs.
 
     ``layers`` is a list of ``(w: Param (out,in), b: Param (out,), activation)``.
-    ``x`` may be a single vector (n,) or a batch (rows, n).
+    ``x`` may be a single vector (n,) or a batch (rows, n).  Returns
+    (output, cache).
     """
-    out, _ = ffn_forward_cached(x, layers)
-    return out
-
-
-def ffn_forward_cached(x, layers):
     x = np.asarray(x, dtype=np.float64)
     pre = []
     acts = [x]

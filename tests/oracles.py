@@ -1,4 +1,5 @@
-"""Per-sample reference implementations the tests check the batched code against.
+"""Per-sample reference implementations the tests check the batched code
+against, and the helpers only the tests use.
 
 None of these run in training; each spells out one sentence or one sample
 at a time what the batched functions in ``metadapt`` compute in one pass.
@@ -6,6 +7,8 @@ The per-sentence encoder (LSTM, BiLSTM, attention, fusion and their
 backward passes, one time step at a time) is the one the batched encoder
 replaced.
 """
+
+import hashlib
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -219,12 +222,35 @@ def encode(example, gen, table, cfg) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# test-only helpers
+
+
+def params_digest(params) -> str:
+    """Hex digest of parameter values, for phase-isolation checks."""
+    h = hashlib.sha256()
+    for p in params:
+        h.update(np.ascontiguousarray(p.value).tobytes())
+    return h.hexdigest()
+
+
+def ffn_forward(x, layers) -> np.ndarray:
+    """Output of ``nn.ffn_forward_cached`` without its cache."""
+    return nn.ffn_forward_cached(x, layers)[0]
+
+
+def ridge_grad(X, Y, clf) -> np.ndarray:
+    """Gradient of the ridge objective at theta (zero at the fit)."""
+    m = X.shape[0]
+    return X.T @ (X @ clf.theta - Y) / m + clf.lam * clf.theta
+
+
+# ---------------------------------------------------------------------------
 # losses, one sample at a time
 
 
 def discriminate(s, disc) -> np.ndarray:
     """Probability pair (query, source) for one embedding."""
-    return nn.softmax(nn.ffn_forward(s, disc.layers))
+    return nn.softmax(ffn_forward(s, disc.layers))
 
 
 def disc_loss(query_embs, source_embs, disc) -> float:
@@ -240,9 +266,9 @@ def disc_loss(query_embs, source_embs, disc) -> float:
         raise ValueError(f"query/source size mismatch: {nq} vs {ns}")
     total = 0.0
     for e in query_embs:
-        total += cross_entropy(nn.ffn_forward(e, disc.layers), 0)
+        total += cross_entropy(ffn_forward(e, disc.layers), 0)
     for e in source_embs:
-        total += cross_entropy(nn.ffn_forward(e, disc.layers), 1)
+        total += cross_entropy(ffn_forward(e, disc.layers), 1)
     return total / (nq + ns)
 
 

@@ -20,9 +20,10 @@ from metadapt.harness import (TrainConfig, gen_synthetic_corpus,
 from metadapt.model import (DiscriminatorParams, GeneratorParams, ModelConfig,
                             RidgeClassifier, attention_weights, domain_loss,
                             episode_forward, fit_episode_classifier,
-                            ridge_fit, ridge_grad, update_discriminator,
+                            ridge_fit, update_discriminator,
                             update_generator)
-from metadapt.nn import AdamState, params_digest, softmax_cross_entropy
+from metadapt.nn import AdamState, softmax_cross_entropy
+from oracles import params_digest, ridge_grad
 
 LN2 = 0.6931471805599453
 LN5 = 1.6094379124341003

@@ -145,7 +145,8 @@ class TestExitCodes:
         ("hidden=0", "dim, hidden, and max_len must be >= 1"),
         ("epochs=0", "epochs, episodes_per_epoch, and val_episodes must be >= 1"),
         ("n_way=0", "n_way must be >= 2"),
-    ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way"])
+        ("disc_hidden1=0", "disc_hidden must be two widths >= 1, got (0, 128)"),
+    ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way", "disc_hidden1"])
     def test_data_error_out_of_range_config(self, line, shown, synth_dir, tmp_path,
                                             capsys):
         config = tmp_path / "c.txt"
@@ -157,6 +158,24 @@ class TestExitCodes:
         assert rc == 2
         assert f"data error: config: {shown}" in capsys.readouterr().err
         assert not out.exists()   # refused before any output is written
+
+    @pytest.mark.parametrize("counts, n_way, shown", [
+        ((2, 3, 3), 3, "train split: need 3 classes with >= 3 examples, have 2"),
+        ((6, 1, 1), 2, "validation split: need 2 classes with >= 3 examples, have 1"),
+        ((4, 2, 2), 4, "train split: source pool has 0 examples, need 8"),
+    ], ids=["train", "validation", "source_pool"])
+    def test_data_error_n_way_split_cannot_serve(self, counts, n_way, shown, synth_dir,
+                                                 tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text(f"n_way={n_way}\nk_shot=1\nl_query=2\nn_train_classes={counts[0]}\n"
+                          f"n_val_classes={counts[1]}\nn_test_classes={counts[2]}\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"data error: {shown}" in capsys.readouterr().err
+        assert not (out / "split.json").exists()   # refused before any output
 
     def test_config_values_coerced(self):
         cfg = _coerce_config({"concat_fusion": 1, "no_adversarial": "off", "epochs": "3",
@@ -227,6 +246,10 @@ def _hidden_99(payload):
     payload["config"]["hidden"] = 99
 
 
+def _zero_disc_hidden(payload):
+    payload["config"]["disc_hidden"] = [0, 8]
+
+
 def _widen_disc_input(payload):
     spec = payload["arrays"]["disc.layer1.w"]
     rows, cols = spec["shape"]
@@ -237,7 +260,7 @@ def _widen_disc_input(payload):
 
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("corrupt", [_drop_attn_w, _short_data, _drop_lam, _hidden_99,
-                                         _widen_disc_input])
+                                         _zero_disc_hidden, _widen_disc_input])
     def test_data_error_exit(self, corrupt, synth_dir, trained_dir, tmp_path, capsys):
         payload = json.loads((trained_dir / "checkpoint.json").read_text())
         corrupt(payload)

@@ -15,7 +15,8 @@ from metadapt.harness import (TrainConfig, dump_attention,
                               train, write_corpus_files)
 from metadapt.model import (DiscriminatorParams, EpisodeMetrics,
                             GeneratorParams, ModelConfig, encode)
-from metadapt.nn import NumericalError, params_digest
+from metadapt.nn import NumericalError
+from oracles import params_digest
 
 
 def small_setup(corpus_seed=0, n_classes=8, per_class=10):
@@ -111,8 +112,12 @@ class TestTrain:
         for i, rec in enumerate(res.history):
             assert rec.epoch == i // 5
             assert rec.episode == i % 5
-            for v in (rec.ridge_loss, rec.disc_loss, rec.gen_loss):
+            m = rec.metrics
+            for v in (m.ridge_loss, m.disc_loss, m.gen_loss):
                 assert math.isfinite(v)
+            assert list(rec.to_dict()) == ["epoch", "episode", "ridge_loss", "disc_loss",
+                                           "gen_loss", "query_accuracy", "wall_time"]
+            assert rec.to_dict()["gen_loss"] == m.gen_loss
 
     def test_best_checkpoint_dominates_later_epochs(self):
         ds, table, vocab, split, spec, mcfg = small_setup()
@@ -187,7 +192,7 @@ class TestTrain:
         cfg = TrainConfig(spec=spec, epochs=2, episodes_per_epoch=3, patience=10,
                           seed=7, val_episodes=2, lr=0.01)
         res = train(ds, split, cfg, mcfg, table)
-        assert all(rec.disc_loss == 0.0 for rec in res.history)
+        assert all(rec.metrics.disc_loss == 0.0 for rec in res.history)
 
 
 class TestMetaTest:
@@ -292,6 +297,7 @@ class TestCheckpoint:
         assert cfg2 == mcfg
         assert params_digest(gen2.params()) == params_digest(gen.params())
         assert params_digest(disc2.params()) == params_digest(disc.params())
+        assert [act for _, _, act in disc2.layers] == ["relu", "relu", "linear"]
 
     def test_round_trip_with_proj(self, tmp_path):
         mcfg = ModelConfig(dim=6, hidden=4, lam=1.0, no_adversarial=True,
@@ -305,6 +311,16 @@ class TestCheckpoint:
         assert cfg2.no_adversarial
         assert gen2.proj_w is not None
         assert np.array_equal(gen2.proj_w.value, gen.proj_w.value)
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_save_load_save_identical(self, variant, tmp_path):
+        mcfg = variant_cfg(variant)
+        rng = np.random.default_rng(15)
+        gen = GeneratorParams.init(mcfg, rng)
+        disc = DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden, rng)
+        save_checkpoint(tmp_path / "a.json", gen, disc, mcfg)
+        save_checkpoint(tmp_path / "b.json", *load_checkpoint(tmp_path / "a.json"))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestEvaluateEpisodes:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -14,12 +15,13 @@ from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams
                             discriminator_loss_and_grads, domain_loss, encode,
                             episode_accuracy, episode_forward, episode_update,
                             fit_episode_classifier, gen_forward,
-                            generator_loss_and_grads, ridge_fit, ridge_grad,
+                            generator_loss_and_grads, ridge_fit,
                             ridge_loss, ridge_predict, update_discriminator,
                             update_generator, with_bias)
-from metadapt.nn import AdamState, LstmParams, params_digest
+from metadapt.nn import AdamState, LstmParams
 import oracles
-from oracles import cross_entropy, disc_loss, discriminate, fuse, fuse_concat, gen_loss
+from oracles import (cross_entropy, disc_loss, discriminate, fuse, fuse_concat, gen_loss,
+                     params_digest, ridge_grad)
 from oracles import episode_accuracy as oracle_episode_accuracy
 
 LN2 = 0.6931471805599453
@@ -359,7 +361,7 @@ class TestDiscLoss:
         disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
         q = [rng.normal(size=cfg.dim) for _ in range(4)]
         s = [rng.normal(size=cfg.dim) for _ in range(4)]
-        swapped = disc.clone()
+        swapped = copy.deepcopy(disc)
         w3, b3, act = swapped.layers[2]
         w3.value[:] = w3.value[::-1].copy()
         b3.value[:] = b3.value[::-1].copy()
@@ -693,16 +695,18 @@ class TestEncode:
             small_cfg(no_adversarial=True, concat_fusion=True)
 
 
-class TestCheckpointRoundTrip:
-    def test_named_arrays_reconstruct(self):
+class TestNamedParams:
+    def test_one_order_for_adam_and_checkpoint(self):
         rng = np.random.default_rng(25)
-        cfg = small_cfg()
-        gen = GeneratorParams.init(cfg, rng)
-        disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
-        arrays = dict(gen.named_arrays())
-        arrays.update(disc.named_arrays())
-        gen2 = GeneratorParams.from_named_arrays(arrays)
-        disc2 = DiscriminatorParams.from_named_arrays(arrays)
-        assert params_digest(gen2.params()) == params_digest(gen.params())
-        assert params_digest(disc2.params()) == params_digest(disc.params())
-        assert [a for _, _, a in disc2.layers] == ["relu", "relu", "linear"]
+        for flags in ({}, {"no_adversarial": True}, {"concat_fusion": True}):
+            cfg = small_cfg(**flags)
+            gen = GeneratorParams.init(cfg, rng)
+            disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
+            for ps in (gen, disc):
+                named = ps.named_params()
+                assert [id(p) for p in named.values()] == [id(p) for p in ps.params()]
+                assert list(named) == list(ps.named_arrays())
+                assert all(a is named[k].value for k, a in ps.named_arrays().items())
+            assert ("gen.proj_w" in gen.named_params()) == cfg.no_adversarial
+            assert list(disc.named_params()) == [f"disc.layer{i}.{k}" for i in (1, 2, 3)
+                                                 for k in ("w", "b")]

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
-                         ffn_backward, ffn_forward, ffn_forward_cached,
+                         ffn_backward, ffn_forward_cached,
                          grad_check, load_arrays, lstm_backward, lstm_forward,
                          one_hot, reverse_index, save_arrays, softmax,
                          softmax_cross_entropy)
 import oracles
-from oracles import cross_entropy, lstm_cell
+from oracles import cross_entropy, ffn_forward, lstm_cell
 
 # frozen via 40-digit evaluation of e/(1+e) and log1p(exp(-20))
 SOFTMAX_1000_1001 = (0.2689414213699951, 0.7310585786300049)
