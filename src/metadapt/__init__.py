@@ -12,7 +12,6 @@ from .harness import (EvalReport, MetricsRecord, TrainConfig, TrainResult,
 from .model import (DiscriminatorParams, EpisodeMetrics, GeneratorParams,
                     ModelConfig, RidgeClassifier, attention_weights, encode,
                     episode_update, ridge_fit, ridge_predict)
-from .nn import (AdamState, LstmParams, NumericalError, Param, adam_step,
-                 bilstm_forward, grad_check, softmax)
+from .nn import AdamState, LstmParams, NumericalError, Param, adam_step, grad_check
 
 __version__ = "0.1.0"

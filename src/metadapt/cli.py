@@ -16,7 +16,7 @@ import numpy as np
 from . import harness
 from .corpus import (DataError, Example, Vocab, load_embeddings,
                      load_jsonl_dataset, split_classes, tokenize)
-from .episodes import EpisodeSpec, sample_episode
+from .episodes import EpisodeSpec, min_source_pool, sample_episode
 from .harness import TrainConfig
 from .model import ModelConfig
 from .nn import NumericalError
@@ -145,6 +145,12 @@ def _cmd_train(args) -> int:
                            source_excludes=train_cfg.source_excludes)
         except ValueError as exc:
             raise DataError(f"{name} split: {exc}") from None
+    # the trial's classes are one draw; the smallest pool is what every draw must serve
+    pool = min_source_pool(dataset, split.train_classes, spec, train_cfg.source_excludes)
+    need = spec.l_query * (spec.n_way if train_cfg.source_excludes == "all" else 1)
+    if pool < need:
+        raise DataError(f"train split: source pool can have as few as {pool} examples, "
+                        f"need {need}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -130,3 +130,20 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
         query_indices=tuple(qry_idx),
         source_indices=tuple(src_idx),
     )
+
+
+def min_source_pool(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
+                    source_excludes: str = "all") -> int:
+    """Examples in the smallest source pool any episode drawn from
+    ``allowed_classes`` can see.
+
+    A draw's pool is every allowed example outside the classes it excludes,
+    and those are drawn from the classes with at least K+L examples.  So
+    the worst draw excludes the ``n_way`` largest of them under
+    ``source_excludes="all"``, and the single largest under ``"current"``.
+    """
+    if source_excludes not in ("all", "current"):
+        raise ValueError(f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
+    sizes = [len(dataset.class_index.get(c, ())) for c in allowed_classes]
+    eligible = sorted((n for n in sizes if n >= spec.k_shot + spec.l_query), reverse=True)
+    return sum(sizes) - sum(eligible[:spec.n_way if source_excludes == "all" else 1])

@@ -90,22 +90,41 @@ class EvalReport:
                 "total_episodes": len(self.per_episode)}
 
 
-def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
-                      dataset: Dataset, classes, spec: EpisodeSpec, n_episodes: int,
-                      rng: np.random.Generator, features=None) -> list[float]:
-    """Per-episode query accuracies with frozen generator parameters.
+def sample_eval_episodes(dataset: Dataset, classes, spec: EpisodeSpec, n_episodes: int,
+                         rng: np.random.Generator) -> list[Episode]:
+    """``n_episodes`` evaluation episodes (no source set) drawn in order from ``rng``."""
+    return [sample_episode(dataset, classes, spec, rng, with_source=False)
+            for _ in range(n_episodes)]
 
-    Each example is encoded at most once: ``features`` is the memo of
-    ``model.episode_accuracy`` (dataset index -> encoder feature), fresh for
-    this call unless the caller passes one it also holds the generator
-    fixed for.  It grows to one feature per distinct example sampled.
+
+def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
+                      episodes, features=None) -> list[float]:
+    """Per-episode query accuracies of already sampled episodes of one shape,
+    with frozen generator parameters.
+
+    The call's distinct examples not yet in ``features`` are encoded in
+    first-seen order, in batches of at most one episode's example count, so
+    no batch is larger than an episode's own.  ``features`` (dataset index
+    -> classifier input, bias appended) is fresh for this call unless the
+    caller passes one it also holds the generator fixed for.  Every ridge
+    head is then fit in one stacked dual solve, and each episode is scored
+    on its own.
     """
+    if not episodes:
+        return []
     features = {} if features is None else features
-    accs = []
-    for _ in range(n_episodes):
-        ep = sample_episode(dataset, classes, spec, rng, with_source=False)
-        accs.append(model.episode_accuracy(ep, gen, cfg, table, features))
-    return accs
+    batch = len(episodes[0].support) + len(episodes[0].query)
+    sampled: dict = {}   # dataset index -> (example, label), in first-seen order
+    for ep in episodes:
+        sampled.update(zip(ep.support_indices + ep.query_indices, ep.support + ep.query))
+    pending = [(i, ex) for i, (ex, _) in sampled.items() if i not in features]
+    for start in range(0, len(pending), batch):
+        chunk = pending[start:start + batch]
+        feats, _ = model.gen_forward([ex for _, ex in chunk], gen, table, cfg)
+        features.update(zip([i for i, _ in chunk], model.with_bias(feats)))
+    scores = model.episode_scores(episodes, features, cfg.lam)
+    return [model.episode_accuracy(sc, [y for _, y in ep.query])
+            for sc, ep in zip(scores, episodes)]
 
 
 def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: ModelConfig,
@@ -114,7 +133,8 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
 
     Each epoch runs ``episodes_per_epoch`` three-phase episode updates on the
     train classes, then measures episodic accuracy on the validation classes
-    with the generator frozen (the ridge head is refit per episode).  The
+    with the generator frozen (the ridge head is refit per episode); the
+    validation episodes are sampled once, before the first epoch.  The
     best-validation parameters are kept; training stops once validation
     accuracy has not improved for ``patience`` consecutive epochs.
 
@@ -130,7 +150,10 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
     s_init, s_train, s_val = ss.spawn(3)
     init_rng = np.random.default_rng(s_init)
     train_rng = np.random.default_rng(s_train)
-    val_seed = s_val.generate_state(1)[0]
+    # the same validation episodes every epoch, so accuracies are comparable
+    val_episodes = sample_eval_episodes(dataset, split.val_classes, cfg.spec,
+                                        cfg.val_episodes,
+                                        np.random.default_rng(s_val.generate_state(1)[0]))
 
     gen = GeneratorParams.init(model_cfg, init_rng)
     disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, init_rng)
@@ -172,12 +195,7 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
                     raise NumericalError(msg) from exc
             epochs_run = epoch + 1
 
-            # same validation episodes every epoch, so accuracies are comparable
-            val_rng = np.random.default_rng(val_seed)
-            val_accs = evaluate_episodes(gen, model_cfg, table, dataset,
-                                         split.val_classes, cfg.spec,
-                                         cfg.val_episodes, val_rng)
-            val_acc = float(np.mean(val_accs))
+            val_acc = float(np.mean(evaluate_episodes(gen, model_cfg, table, val_episodes)))
             val_accuracies.append(val_acc)
             if metrics_fh:
                 metrics_fh.flush()
@@ -246,9 +264,9 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
     accs: list[float] = []
     features: dict = {}  # one memo for all seeds: the generator stays frozen
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        accs.extend(evaluate_episodes(gen, cfg, table, dataset, test_classes,
-                                      spec, n_episodes, rng, features))
+        episodes = sample_eval_episodes(dataset, test_classes, spec, n_episodes,
+                                        np.random.default_rng(seed))
+        accs.extend(evaluate_episodes(gen, cfg, table, episodes, features))
     arr = np.asarray(accs)
     n = arr.size
     std = float(arr.std(ddof=1)) if n > 1 else 0.0

@@ -6,8 +6,9 @@ fusing those weights back into the word matrix gives a fixed-width sentence
 embedding.  Sentences are encoded in batches, one padded BiLSTM pass per
 batch: an episode update encodes its support, query and source sets in one.
 A per-episode ridge regressor is fit on support embeddings in closed form,
-and a small feed-forward discriminator plays the adversarial domain game
-against the generator on query vs. source embeddings.
+in its dual (m x m) form, and a small feed-forward discriminator plays the
+adversarial domain game against the generator on query vs. source
+embeddings.
 
 One episode update runs three phases, each touching exactly one parameter
 set: fit the ridge head (theta), one Adam step on the discriminator (mu),
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import nn
 from .corpus import EmbeddingTable, embed_sentence
@@ -258,8 +258,8 @@ class RidgeClassifier:
 def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> RidgeClassifier:
     """Exact minimizer of (1/2m)||X theta - Y||_F^2 + (lam/2)||theta||_F^2.
 
-    Solved as the SPD system (X^T X + m lam I) theta = X^T Y; the matrix is
-    never inverted explicitly.
+    Solved in the dual form theta = X^T alpha, (X X^T + m lam I) alpha = Y:
+    an m x m system for the m support rows, whatever the feature width.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -269,10 +269,16 @@ def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> RidgeClassifier:
         raise ValueError(f"ridge_fit shape mismatch: {X.shape} vs {Y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise nn.NumericalError("non-finite inputs to ridge_fit")
-    m, p = X.shape
-    A = X.T @ X + (m * lam) * np.eye(p)
-    theta = scipy.linalg.solve(A, X.T @ Y, assume_a="pos")
-    return RidgeClassifier(theta=theta, lam=float(lam))
+    return RidgeClassifier(theta=X.T @ ridge_dual(X @ X.T, Y, lam), lam=float(lam))
+
+
+def ridge_dual(gram: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
+    """Dual coefficients alpha solving (K + m lam I) alpha = Y, for one Gram
+    matrix K = X X^T (m, m) with targets Y (m, c), or for a stack of them,
+    (E, m, m) with (E, m, c), in one batched solve.  The matrix is SPD and
+    never inverted explicitly."""
+    m = gram.shape[-1]
+    return np.linalg.solve(gram + (m * lam) * np.eye(m), Y)
 
 
 def ridge_loss(X: np.ndarray, Y: np.ndarray, clf: RidgeClassifier) -> float:
@@ -315,8 +321,7 @@ class EpisodeForward:
     """Encoder features of one episode from one batched pass: support rows,
     then query rows, then source rows.  Computed once per update (the
     generator stays fixed until phase 3's step); phase 3's backward pass
-    consumes the cache, and the evaluation path, which runs none, leaves it
-    None."""
+    consumes the cache."""
 
     feats: np.ndarray        # (n_support + n_query + n_source, encoder_dim)
     cache: object            # gen_forward's cache for all rows
@@ -452,26 +457,34 @@ def episode_update(episode: Episode, gen: GeneratorParams, disc: DiscriminatorPa
     return EpisodeMetrics(ridge_loss=l_rr, disc_loss=l_d, gen_loss=l_g, query_accuracy=acc)
 
 
-def episode_accuracy(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
-                     table: EmbeddingTable, features: dict) -> float:
-    """Evaluation path: fit the ridge head on support, score the query set.
+def episode_scores(episodes, features: dict, lam: float) -> np.ndarray:
+    """Evaluation path: query scores (E, n_query, n_way) of every episode's
+    ridge head, fit on its support set, for episodes of one shape.
 
-    Touches no persistent parameters; the ridge head is the only per-episode
-    adaptation at test time.  With the generator frozen, an example's
-    feature depends on the example alone, so ``features`` maps a dataset
-    index (``episode.support_indices``/``query_indices``) to its encoder
-    feature, before the bias; the indices not in it yet are encoded here in
-    one batch and added.  Its owner must drop it before the generator
-    changes.
+    Touches no persistent parameters; the ridge head is the only
+    per-episode adaptation at test time.  ``features`` maps each dataset
+    index the episodes sample to its classifier input, bias appended.  Per
+    episode only its Gram matrix K = S S^T (m, m) and the cross products
+    Q S^T (n_query, m) are formed, as one product [S; Q] S^T, and stacked;
+    one batched dual solve then gives every alpha, and the scores are
+    (Q S^T) alpha = Q theta.
     """
-    items = list(zip(episode.support_indices + episode.query_indices,
-                     [ex for ex, _ in episode.support + episode.query]))
-    missing = {i: ex for i, ex in items if i not in features}
-    if missing:
-        feats, _ = gen_forward(list(missing.values()), gen, table, cfg)
-        features.update(zip(missing, feats))
-    fwd = EpisodeForward(feats=np.stack([features[i] for i, _ in items]), cache=None,
-                         support_labels=_labels(episode.support),
-                         query_labels=_labels(episode.query), n_way=episode.n_way)
-    clf, _ = fit_episode_classifier(fwd, cfg.lam)
-    return _score_query(fwd, clf)[1]
+    first = episodes[0]
+    m = len(first.support)
+    # rows: support then query; columns: support.  Row block [:m] is K.
+    products = np.empty((len(episodes), m + len(first.query), m))
+    for e, ep in enumerate(episodes):
+        X = np.array([features[i] for i in ep.support_indices + ep.query_indices])
+        products[e] = X @ X[:m].T
+    if not np.isfinite(products).all():
+        raise nn.NumericalError("non-finite features in evaluation")
+    labels = np.concatenate([_labels(ep.support) for ep in episodes])
+    Y = nn.one_hot(labels, first.n_way).reshape(len(episodes), m, first.n_way)
+    return products[:, m:] @ ridge_dual(products[:, :m], Y, lam)
+
+
+def episode_accuracy(scores: np.ndarray, query_labels) -> float:
+    """Evaluation's scoring step for one episode: the fraction of query rows
+    (n_query, n_way) whose highest score, lowest index on ties, is their
+    label."""
+    return int((np.argmax(scores, axis=1) == query_labels).sum()) / len(query_labels)

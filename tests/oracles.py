@@ -11,11 +11,12 @@ replaced.
 import hashlib
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit, logsumexp
 
 from metadapt import nn
 from metadapt.corpus import embed_sentence
-from metadapt.model import ridge_fit, ridge_predict, with_bias
+from metadapt.model import RidgeClassifier, ridge_predict, with_bias
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -238,6 +239,14 @@ def ffn_forward(x, layers) -> np.ndarray:
     return nn.ffn_forward_cached(x, layers)[0]
 
 
+def ridge_fit_primal(X, Y, lam: float) -> RidgeClassifier:
+    """``model.ridge_fit`` in the primal form: the p x p SPD system
+    (X^T X + m lam I) theta = X^T Y."""
+    m, p = X.shape
+    theta = scipy.linalg.solve(X.T @ X + (m * lam) * np.eye(p), X.T @ Y, assume_a="pos")
+    return RidgeClassifier(theta=theta, lam=float(lam))
+
+
 def ridge_grad(X, Y, clf) -> np.ndarray:
     """Gradient of the ridge objective at theta (zero at the fit)."""
     m = X.shape[0]
@@ -297,11 +306,11 @@ def gen_loss(query_items, source_examples, clf, gen, disc, cfg, table) -> float:
 
 def episode_accuracy(episode, gen, cfg, table) -> float:
     """Query accuracy of one evaluation episode with every sentence encoded
-    afresh: the ridge head is fit on the support features, then each query
-    row is scored on its own."""
+    afresh: the ridge head is fit on the support features in the primal
+    form, then each query row is scored on its own."""
     X = np.stack([encode(ex, gen, table, cfg) for ex, _ in episode.support])
     Y = nn.one_hot([y for _, y in episode.support], episode.n_way)
-    clf = ridge_fit(X, Y, cfg.lam)
+    clf = ridge_fit_primal(X, Y, cfg.lam)
     hits = sum(int(np.argmax(ridge_predict(clf, encode(ex, gen, table, cfg)))) == y
                for ex, y in episode.query)
     return hits / len(episode.query)

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from metadapt.cli import _coerce_config, main
-from metadapt.corpus import load_embeddings, load_jsonl_dataset
+from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,35 @@ class TestExitCodes:
         assert rc == 2
         assert f"data error: {shown}" in capsys.readouterr().err
         assert not (out / "split.json").exists()   # refused before any output
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_data_error_uneven_source_pool(self, seed, tmp_path, capsys):
+        # train classes of 3, 3 and 10 examples with n_way=2, l_query=2: a
+        # draw of the 10-example class leaves a source pool of 3 for the 4
+        # examples it needs, whichever draw the pre-flight trial makes
+        split = split_classes(range(6), (3, 2, 1), np.random.default_rng(seed))
+        sizes = dict.fromkeys(range(6), 10)
+        sizes.update(zip(sorted(split.train_classes), np.roll([3, 3, 10], seed)))
+        rng = np.random.default_rng(seed)
+        words = ["a", "b", "c", "d"]
+        with open(tmp_path / "corpus.jsonl", "w") as fh:
+            for c in range(6):
+                for _ in range(sizes[c]):
+                    text = " ".join(rng.choice(words, size=4))
+                    fh.write(json.dumps({"text": text, "label": f"c{c}"}) + "\n")
+        (tmp_path / "vec.txt").write_text(
+            "4 3\n" + "".join(f"{w} {i} 1 0\n" for i, w in enumerate(words)))
+        config = tmp_path / "c.txt"
+        config.write_text(f"seed={seed}\nn_way=2\nk_shot=1\nl_query=2\nepochs=2\n"
+                          "episodes_per_epoch=5\nval_episodes=1\nhidden=3\nmax_len=4\n"
+                          "n_train_classes=3\nn_val_classes=2\nn_test_classes=1\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(tmp_path / "corpus.jsonl"),
+                   "--embeddings", str(tmp_path / "vec.txt"),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert "data error: train split: source pool" in capsys.readouterr().err
+        assert not (out / "split.json").exists()
 
     def test_config_values_coerced(self):
         cfg = _coerce_config({"concat_fusion": 1, "no_adversarial": "off", "epochs": "3",

@@ -8,11 +8,12 @@ import oracles
 from metadapt import model
 from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
 from metadapt.episodes import EpisodeSpec, sample_episode
+from metadapt import harness
 from metadapt.harness import (TrainConfig, dump_attention,
                               dump_embeddings, evaluate_episodes,
                               gen_synthetic_corpus, keyword_token_ids,
-                              load_checkpoint, meta_test, save_checkpoint,
-                              train, write_corpus_files)
+                              load_checkpoint, meta_test, sample_eval_episodes,
+                              save_checkpoint, train, write_corpus_files)
 from metadapt.model import (DiscriminatorParams, EpisodeMetrics,
                             GeneratorParams, ModelConfig, encode)
 from metadapt.nn import NumericalError
@@ -327,8 +328,9 @@ class TestEvaluateEpisodes:
     def test_matches_meta_test_single_seed(self):
         ds, table, vocab, split, spec, mcfg = small_setup()
         gen = GeneratorParams.init(mcfg, np.random.default_rng(10))
-        accs = evaluate_episodes(gen, mcfg, table, ds, split.test_classes, spec,
-                                 6, np.random.default_rng(42))
+        episodes = sample_eval_episodes(ds, split.test_classes, spec, 6,
+                                        np.random.default_rng(42))
+        accs = evaluate_episodes(gen, mcfg, table, episodes)
         rep = meta_test(gen, mcfg, table, ds, split.test_classes, spec,
                         n_episodes=6, seeds=(42,))
         assert tuple(accs) == rep.per_episode
@@ -358,8 +360,10 @@ def oracle_accuracies(gen, mcfg, table, episodes):
 
 
 class TestEvaluationMemo:
-    """Evaluation encodes each distinct example once per call; the results
-    must carry the same bits as encoding every sentence of every episode."""
+    """Evaluation encodes each distinct example once per call and fits every
+    head in one stacked dual solve; the accuracies must equal those of
+    encoding every sentence of every episode afresh and fitting each head
+    in the primal form."""
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_meta_test_matches_oracle(self, variant):
@@ -379,9 +383,9 @@ class TestEvaluationMemo:
                           seed=2, val_episodes=4, lr=0.05)
         memo = train(ds, split, cfg, mcfg, table, out_dir=tmp_path / "memo",
                      clock=lambda: 0.0)
-        monkeypatch.setattr(model, "episode_accuracy",
-                            lambda ep, gen, mcfg, table, features:
-                            oracles.episode_accuracy(ep, gen, mcfg, table))
+        monkeypatch.setattr(harness, "evaluate_episodes",
+                            lambda gen, mcfg, table, episodes:
+                            list(oracle_accuracies(gen, mcfg, table, episodes)))
         oracle = train(ds, split, cfg, mcfg, table, out_dir=tmp_path / "oracle",
                        clock=lambda: 0.0)
         assert memo.val_accuracies == oracle.val_accuracies
@@ -407,14 +411,47 @@ class TestEvaluationMemo:
         assert len(sampled) > len(set(sampled))  # examples recur across episodes
         assert len(calls) == len(set(sampled))
 
+    def test_encode_batches_hold_at_most_one_episode(self, monkeypatch):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(17))
+        sizes = []
+        real = model.gen_forward
+
+        def recording(examples, *args, **kwargs):
+            sizes.append(len(examples))
+            return real(examples, *args, **kwargs)
+
+        monkeypatch.setattr(model, "gen_forward", recording)
+        meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                  n_episodes=10, seeds=(5, 6))
+        episodes = sampled_episodes(ds, split.test_classes, spec, 10, (5, 6))
+        distinct = {i for ep in episodes for i in ep.support_indices + ep.query_indices}
+        assert len(sizes) > 1 and sum(sizes) == len(distinct)
+        assert max(sizes) <= spec.n_way * (spec.k_shot + spec.l_query)
+
+    def test_train_samples_each_validation_episode_once(self, monkeypatch):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        draws = []
+        real = harness.sample_episode
+
+        def counting(*args, **kwargs):
+            draws.append(kwargs.get("with_source", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_episode", counting)
+        cfg = TrainConfig(spec=spec, epochs=3, episodes_per_epoch=4, patience=10,
+                          seed=8, val_episodes=5, lr=0.01)
+        assert train(ds, split, cfg, mcfg, table).epochs_run == 3
+        assert len(draws) == 3 * 4 + 5
+        assert draws.count(False) == 5   # the validation episodes carry no source set
+
     def test_no_features_outlive_a_call(self):
         ds, table, vocab, split, spec, mcfg = small_setup()
         gen = GeneratorParams.init(mcfg, np.random.default_rng(13))
         episodes = sampled_episodes(ds, split.test_classes, spec, 10, (9,))
         accs = []
         for step in range(2):
-            accs.append(tuple(evaluate_episodes(gen, mcfg, table, ds, split.test_classes,
-                                                spec, 10, np.random.default_rng(9))))
+            accs.append(tuple(evaluate_episodes(gen, mcfg, table, episodes)))
             assert accs[-1] == oracle_accuracies(gen, mcfg, table, episodes)
             perturb = np.random.default_rng(14)
             for p in gen.params():

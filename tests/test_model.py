@@ -13,8 +13,8 @@ from metadapt.harness import _tiny_instance, gen_synthetic_corpus
 from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams,
                             ModelConfig, RidgeClassifier, attention_weights,
                             discriminator_loss_and_grads, domain_loss, encode,
-                            episode_accuracy, episode_forward, episode_update,
-                            fit_episode_classifier, gen_forward,
+                            episode_accuracy, episode_forward, episode_scores,
+                            episode_update, fit_episode_classifier, gen_forward,
                             generator_loss_and_grads, ridge_fit,
                             ridge_loss, ridge_predict, update_discriminator,
                             update_generator, with_bias)
@@ -212,6 +212,18 @@ class TestRidgeFit:
             lam = float(rng.uniform(0.05, 2.0))
             clf = ridge_fit(X, Y, lam)
             assert np.abs(ridge_grad(X, Y, clf)).max() < 1e-8
+
+    @pytest.mark.parametrize("m, p", [(4, 33), (5, 301), (7, 7), (12, 5), (40, 3)])
+    def test_dual_matches_primal_oracle(self, m, p):
+        # the dual m x m solve against the primal p x p one, fewer and more
+        # rows than features
+        rng = np.random.default_rng(m * 1000 + p)
+        X = with_bias(rng.normal(size=(m, p - 1)))
+        Y = nn.one_hot(rng.integers(0, 4, size=m), 4)
+        for lam in (0.01, 0.5, 3.0):
+            got = ridge_fit(X, Y, lam).theta
+            want = oracles.ridge_fit_primal(X, Y, lam).theta
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -651,13 +663,46 @@ class TestEpisodePhases:
     def test_episode_accuracy_range_and_purity(self):
         episode, gen, disc, cfg, table = self.make(seed=4)
         g0 = params_digest(gen.params())
-        features = {}
-        acc1 = episode_accuracy(episode, gen, cfg, table, features)
-        assert features.keys() == set(episode.support_indices + episode.query_indices)
-        acc2 = episode_accuracy(episode, gen, cfg, table, features)  # memo hits only
-        assert acc1 == acc2 == oracle_episode_accuracy(episode, gen, cfg, table)
-        assert 0.0 <= acc1 <= 1.0
+        items = zip(episode.support_indices + episode.query_indices,
+                    episode.support + episode.query)
+        features = {i: encode(ex, gen, table, cfg) for i, (ex, _) in items}
+        scores = episode_scores([episode], features, cfg.lam)
+        assert scores.shape == (1, len(episode.query), episode.n_way)
+        acc = episode_accuracy(scores[0], [y for _, y in episode.query])
+        assert acc == oracle_episode_accuracy(episode, gen, cfg, table)
+        assert 0.0 <= acc <= 1.0
         assert params_digest(gen.params()) == g0
+
+    def test_stacked_scores_match_per_episode_heads(self):
+        # one stacked dual solve against a ridge_fit per episode, scored row by row
+        ds, table, _ = gen_synthetic_corpus(6, 8, 6, 1, 8, 6, seed=26)
+        cfg = small_cfg(lam=0.3)
+        gen = GeneratorParams.init(cfg, np.random.default_rng(26))
+        spec = EpisodeSpec(n_way=3, k_shot=2, l_query=3)
+        rng = np.random.default_rng(27)
+        episodes = [sample_episode(ds, ds.classes, spec, rng, with_source=False)
+                    for _ in range(7)]
+        features = {i: encode(ex, gen, table, cfg) for i, ex in enumerate(ds.examples)}
+        scores = episode_scores(episodes, features, cfg.lam)
+        for ep, got in zip(episodes, scores):
+            X = np.stack([features[i] for i in ep.support_indices])
+            clf = ridge_fit(X, nn.one_hot([y for _, y in ep.support], ep.n_way), cfg.lam)
+            want = np.stack([ridge_predict(clf, features[i]) for i in ep.query_indices])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_episode_accuracy_ties_break_low(self):
+        scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
+        assert episode_accuracy(scores, [0, 1]) == 1.0
+        assert episode_accuracy(scores, [1, 2]) == 0.0
+
+    def test_non_finite_features_rejected(self):
+        episode, gen, disc, cfg, table = self.make(seed=5)
+        items = zip(episode.support_indices + episode.query_indices,
+                    episode.support + episode.query)
+        features = {i: encode(ex, gen, table, cfg) for i, (ex, _) in items}
+        features[episode.support_indices[0]] = np.full(cfg.feature_dim, np.nan)
+        with pytest.raises(nn.NumericalError):
+            episode_scores([episode], features, cfg.lam)
 
 
 class TestEncode:
