@@ -11,7 +11,7 @@ Run:  python3 demos/03_gradient_checks.py
 import numpy as np
 
 from metadapt import LstmParams, grad_check
-from metadapt.nn import lstm_backward, lstm_forward
+from metadapt.nn import lstm_backward, lstm_forward, project_inputs
 from metadapt.harness import run_gradient_checks
 
 # --- one component: LSTM-through-time -------------------------------------
@@ -23,10 +23,15 @@ lengths = np.array([6, 2, 4])
 valid = np.arange(6)[:, None] < lengths[None, :]
 X = rng.normal(size=(6, 3, 5)) * valid[:, :, None]
 probe = rng.normal(size=(6, 3, 4)) * valid[:, :, None]
+# every position is an input of its own: row (t, b) of the projection table
+rows = np.arange(18).reshape(6, 3)
 
 
 def loss_fn():
-    out, cache = lstm_forward(X, params)
+    # the kernel reads gathered input projections; its backward pass forms
+    # dW_x from the inputs themselves, which the caller adds to the cache
+    out, cache = lstm_forward(project_inputs(X.reshape(18, 5), params)[rows], params)
+    cache["X"] = X
     lstm_backward(probe, cache, params)     # analytic grads into params
     return float((probe * out).sum())
 

@@ -12,6 +12,7 @@ import json
 import logging
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,15 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.examples)
+
+    @cached_property
+    def class_arrays(self) -> dict[int, np.ndarray]:
+        """``class_index`` as read-only intp arrays, built on first use."""
+        out = {}
+        for c, ix in self.class_index.items():
+            out[c] = np.array(ix, dtype=np.intp)
+            out[c].flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

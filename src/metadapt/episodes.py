@@ -85,40 +85,41 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
     classes = sorted(eligible[i] for i in chosen)
     local = {c: i for i, c in enumerate(classes)}
 
+    # pool[rng.choice(pool.size, ...)] draws what rng.choice(pool, ...) does,
+    # from the same generator state, without converting pool on every call
+    arrays = dataset.class_arrays
     support, query = [], []
     sup_idx, qry_idx = [], []
     for c in classes:
-        pool = np.asarray(dataset.class_index[c], dtype=np.intp)
-        pick = rng.choice(pool, size=need, replace=False)
+        pool = arrays[c]
+        pick = pool[rng.choice(pool.size, size=need, replace=False)].tolist()
         for j in pick[:spec.k_shot]:
             support.append((dataset.examples[j], local[c]))
-            sup_idx.append(int(j))
+            sup_idx.append(j)
         for j in pick[spec.k_shot:]:
             query.append((dataset.examples[j], local[c]))
-            qry_idx.append(int(j))
+            qry_idx.append(j)
 
     src_idx: list[int] = []
     if with_source:
         n_src_per_class = spec.l_query
         if source_excludes == "all":
-            pools = [np.asarray(dataset.class_index[c], dtype=np.intp)
-                     for c in allowed if c not in local]
+            pools = [arrays[c] for c in allowed if c not in local]
             pool = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
             n_src = spec.n_way * n_src_per_class
             if pool.size < n_src:
                 raise ValueError(
                     f"source pool has {pool.size} examples, need {n_src}")
-            src_idx = [int(j) for j in rng.choice(pool, size=n_src, replace=False)]
+            src_idx = pool[rng.choice(pool.size, size=n_src, replace=False)].tolist()
         else:
             for c in classes:
-                pools = [np.asarray(dataset.class_index[cc], dtype=np.intp)
-                         for cc in allowed if cc != c]
+                pools = [arrays[cc] for cc in allowed if cc != c]
                 pool = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
                 if pool.size < n_src_per_class:
                     raise ValueError(
                         f"source pool has {pool.size} examples, need {n_src_per_class}")
-                src_idx.extend(int(j) for j in rng.choice(pool, size=n_src_per_class,
-                                                          replace=False))
+                src_idx.extend(pool[rng.choice(pool.size, size=n_src_per_class,
+                                               replace=False)].tolist())
     source = tuple(dataset.examples[j] for j in src_idx)
 
     return Episode(

@@ -166,33 +166,47 @@ def _valid(lengths, T: int) -> np.ndarray:
     return np.arange(T)[None, :] < lengths[:, None]
 
 
-def _attention(X, lengths, gen: GeneratorParams):
+def _encoder_inputs(examples, table: EmbeddingTable):
+    """Word vectors X (T, B, d) and lengths of a batch, the vectors E (U, d)
+    of its distinct tokens, and each position's row (T, B) in E; padded
+    positions get row U, the padding row of the projection tables."""
+    X, lengths = _embed_batch(examples, table)
+    vocab, inverse = np.unique(np.concatenate([ex.token_ids for ex in examples]),
+                               return_inverse=True)
+    rows = np.full(X.shape[:2], vocab.size, dtype=np.intp)
+    rows.T[_valid(lengths, X.shape[0])] = inverse
+    return X, table.matrix[vocab], rows, lengths
+
+
+def _attention(E, rows, lengths, gen: GeneratorParams):
     """Attention weights k (B, T), zero at padded positions: each BiLSTM
     contextual state is scored with the learned projection and softmaxed
     across its sentence.  Returns (k, H_ctx, BiLSTM cache)."""
-    H_ctx, bc = nn.bilstm_forward(X, lengths, gen.fwd, gen.bwd)
+    H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd)
     z = H_ctx @ gen.attn_w.value + gen.attn_b.value[0]
-    return nn.softmax(z.T, _valid(lengths, X.shape[0])), H_ctx, bc
+    return nn.softmax(z.T, _valid(lengths, rows.shape[0])), H_ctx, bc
 
 
 def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: ModelConfig):
     """Encoder features (B, encoder_dim), before the bias, of a batch of
     sentences in one padded BiLSTM pass, plus the cache gen_backward needs.
 
-    The default fuses each sentence's word vectors with its attention
-    weights, s = W k.  ``concat_fusion`` puts the weights, zero-padded to
-    ``max_len``, before the mean word vector.  ``no_adversarial`` projects
-    the mean contextual state back to word-vector width.
+    The BiLSTM projects each of the batch's distinct tokens once per
+    direction and gathers its inputs by token.  The default fuses each
+    sentence's word vectors with its attention weights, s = W k.
+    ``concat_fusion`` puts the weights, zero-padded to ``max_len``, before
+    the mean word vector.  ``no_adversarial`` projects the mean contextual
+    state back to word-vector width.
     """
-    X, lengths = _embed_batch(examples, table)
+    X, E, rows, lengths = _encoder_inputs(examples, table)
     T = X.shape[0]
     if cfg.no_adversarial:
-        H_ctx, bc = nn.bilstm_forward(X, lengths, gen.fwd, gen.bwd)
+        H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd)
         H_ctx[~_valid(lengths, T).T] = 0.0
         hbar = H_ctx.sum(axis=0) / lengths[:, None]
         feats = hbar @ gen.proj_w.value.T + gen.proj_b.value
         return feats, (X, lengths, None, bc, hbar)
-    k, H_ctx, bc = _attention(X, lengths, gen)
+    k, H_ctx, bc = _attention(E, rows, lengths, gen)
     if cfg.concat_fusion:
         if T > cfg.max_len:
             raise ValueError(f"sentence length {T} exceeds max_len {cfg.max_len}")
@@ -226,7 +240,7 @@ def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConf
         gen.attn_w.grad += np.tensordot(dz.T, H_ctx, axes=2)
         gen.attn_b.grad += dz.sum()
         dH = dz.T[:, :, None] * gen.attn_w.value
-    nn.bilstm_backward(dH, bc, gen.fwd, gen.bwd)
+    nn.bilstm_backward(dH, X, bc, gen.fwd, gen.bwd)
 
 
 def encode(example, gen: GeneratorParams, table: EmbeddingTable,
@@ -240,7 +254,7 @@ def attention_weights(example, gen: GeneratorParams, table: EmbeddingTable,
     """Attention vector for one sentence (not available under no_adversarial)."""
     if cfg.no_adversarial:
         raise ValueError("the plain-encoder ablation produces no attention weights")
-    return _attention(*_embed_batch([example], table), gen)[0][0]
+    return _attention(*_encoder_inputs([example], table)[1:], gen)[0][0]
 
 
 # ---------------------------------------------------------------------------

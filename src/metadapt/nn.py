@@ -8,7 +8,8 @@ each update).
 
 Forward functions are pure; the ``*_forward`` variants that also return a
 cache exist so the matching ``*_backward`` can replay exact activations.
-The LSTM kernels run a whole padded batch of sequences per call, and their
+The LSTM kernels run a whole padded batch of sequences per call on
+pre-activations gathered from a table of projected inputs, and their
 backward passes consume the cache: the gate buffer becomes the gradient
 buffer.
 """
@@ -149,49 +150,72 @@ class LstmParams:
         return [self.w_x, self.w_h, self.b]
 
 
-def lstm_forward(X: np.ndarray, p: LstmParams):
+def _gate_affine(H: int):
+    """Per-column scale [1/2, 1/2, 1, 1/2] and shift [1/2, 1/2, 0, 1/2] of
+    the [input, forget, cell, output] gate blocks.  With the sigmoid
+    columns of a pre-activation scaled by 1/2, ``scale * tanh(a) + shift``
+    gives all four gates, since sigmoid(z) = 1/2 + tanh(z/2)/2; scaling by
+    a power of two is exact."""
+    return np.repeat([0.5, 0.5, 1.0, 0.5], H), np.repeat([0.5, 0.5, 0.0, 0.5], H)
+
+
+def project_inputs(E: np.ndarray, p: LstmParams) -> np.ndarray:
+    """(U + 1, 4H) input projections ``W_x e + b`` of the U rows of ``E``
+    (U, d), in the gate form lstm_forward takes (sigmoid columns scaled by
+    1/2).  The last row is ``b`` alone, the projection of a zero-padded
+    position."""
+    P = np.empty((E.shape[0] + 1, 4 * p.hidden_size))
+    np.matmul(E, p.w_x.value.T, out=P[:-1])
+    P[-1] = 0.0
+    P += p.b.value
+    P *= _gate_affine(p.hidden_size)[0]
+    return P
+
+
+def lstm_forward(A: np.ndarray, p: LstmParams):
     """Run the cell forward in time over a padded, time-major batch.
 
-    ``X`` is (T, B, d): column b holds one sequence from t = 0, zero initial
-    state.  A sequence shorter than T is padded at its end; the states past
-    its end are computed but meaningless, and callers never read them.  The
-    input projection ``W_x x + b`` of every (t, b) is one GEMM before the
-    time loop, which leaves one (B x H)(H x 4H) product per step.
-    Returns (H_out (T, B, H), cache for lstm_backward); the cache holds the
-    gate activations, the cell states and H_out itself.
+    ``A`` (T, B, 4H) holds the input projection of every step in
+    project_inputs' gate form, typically rows of its table gathered by
+    token; it becomes the gate buffer.  Column b holds one sequence from
+    t = 0, zero initial state.  A sequence shorter than T is padded at its
+    end; the states past its end are computed but meaningless, and callers
+    never read them.  Each step adds one (B x H)(H x 4H) product and takes
+    all four gates with one tanh.  Returns (H_out (T, B, H), cache for
+    lstm_backward); the cache holds the gate activations, the cell states
+    and H_out itself.
     """
-    T, B, d = X.shape
+    T, B, _ = A.shape
     H = p.hidden_size
-    A = X.reshape(T * B, d) @ p.w_x.value.T
-    A += p.b.value
-    A = A.reshape(T, B, 4 * H)   # pre-activations, then gates in place
+    scale, shift = _gate_affine(H)
     C = np.empty((T, B, H))
     Hout = np.empty((T, B, H))
-    wh_t = p.w_h.value.T
+    wh_t = p.w_h.value.T * scale
     for t in range(T):
         a = A[t]
         if t:
             a += Hout[t - 1] @ wh_t
-        expit(a[:, :2 * H], out=a[:, :2 * H])            # input, forget
-        np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])  # cell candidate
-        expit(a[:, 3 * H:], out=a[:, 3 * H:])              # output
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift                                   # [i, f, g, o]
         c = C[t]
         np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=c)
         if t:
             c += a[:, H:2 * H] * C[t - 1]
         np.multiply(a[:, 3 * H:], np.tanh(c), out=Hout[t])
-    return Hout, {"X": X, "A": A, "C": C, "H": Hout}
+    return Hout, {"A": A, "C": C, "H": Hout}
 
 
 def lstm_backward(dH: np.ndarray, cache: dict, p: LstmParams) -> None:
     """Backprop through lstm_forward; accumulates into p's grads.
 
-    ``dH`` (T, B, H) must be zero at every padded step: BPTT then starts
-    from zero state at each sequence's end and the padded steps add exactly
-    nothing.  Only ``dA W_h`` stays in the time loop; ``dW_x``, ``dW_h`` and
-    ``db`` are one GEMM or one sum each afterwards.  The gate buffer is
-    overwritten with d(pre-activation) and the cache is emptied, so a cache
-    serves one backward pass.
+    ``cache`` is lstm_forward's, with the inputs X (T, B, d) its projections
+    were made from added under ``"X"``.  ``dH`` (T, B, H) must be zero at
+    every padded step: BPTT then starts from zero state at each sequence's
+    end and the padded steps add exactly nothing.  Only ``dA W_h`` stays in
+    the time loop; ``dW_x``, ``dW_h`` and ``db`` are one GEMM or one sum
+    each afterwards.  The gate buffer is overwritten with d(pre-activation)
+    and the cache is emptied, so a cache serves one backward pass.
     """
     if "A" not in cache:
         raise ValueError("this LSTM cache was already consumed by a backward pass")
@@ -231,32 +255,40 @@ def reverse_index(lengths, T: int) -> np.ndarray:
     return np.where(t < L, L - 1 - t, t)
 
 
-def bilstm_forward(X: np.ndarray, lengths, fwd: LstmParams, bwd: LstmParams):
-    """Contextual states (T, B, 2H) of a padded, time-major batch X (T, B, d).
+def bilstm_forward(E: np.ndarray, rows: np.ndarray, lengths, fwd: LstmParams,
+                   bwd: LstmParams):
+    """Contextual states (T, B, 2H) of a padded, time-major batch of inputs.
 
-    Position t of column b holds the forward state after reading tokens
-    0..t on top of the backward state after reading tokens len_b - 1..t.
-    The backward direction runs on each column reversed within its length,
-    so its padding also trails.  States at padded positions are meaningless.
-    Returns (H_ctx, cache for bilstm_backward).
+    ``E`` (U, d) holds the distinct input vectors and ``rows`` (T, B) each
+    position's row in ``E``, padded positions row U.  Each direction
+    projects ``E`` into its project_inputs table, gathers its
+    pre-activations from it and drops it before the next direction's is
+    made.  Position t of column b holds the forward state after reading
+    tokens 0..t on top of the backward state after reading tokens
+    len_b - 1..t.  The backward direction gathers with each column's rows
+    reversed within its length, so its padding also trails.  States at
+    padded positions are meaningless.  Returns (H_ctx, cache for
+    bilstm_backward).
     """
-    T, B, _ = X.shape
+    T, B = rows.shape
     if T < 1 or B < 1:
-        raise ValueError("bilstm_forward expects a non-empty T x B x d batch")
+        raise ValueError("bilstm_forward expects a non-empty T x B batch")
     rev = reverse_index(lengths, T)
     cols = np.arange(B)
-    Hf, cf = lstm_forward(X, fwd)
-    Hb, cb = lstm_forward(X[rev, cols], bwd)
-    cb["X"] = None   # the reversed copy of X is made again while backward runs
-    return np.concatenate([Hf, Hb[rev, cols]], axis=2), (X, rev, cf, cb)
+    Hf, cf = lstm_forward(project_inputs(E, fwd)[rows], fwd)
+    Hb, cb = lstm_forward(project_inputs(E, bwd)[rows[rev, cols]], bwd)
+    return np.concatenate([Hf, Hb[rev, cols]], axis=2), (rev, cf, cb)
 
 
-def bilstm_backward(dOut: np.ndarray, cache, fwd: LstmParams, bwd: LstmParams) -> None:
-    """Backprop through bilstm_forward into both directions' grads; dOut
+def bilstm_backward(dOut: np.ndarray, X: np.ndarray, cache, fwd: LstmParams,
+                    bwd: LstmParams) -> None:
+    """Backprop through bilstm_forward into both directions' grads.  ``X``
+    (T, B, d) holds the inputs at their positions, zero at padding; dOut
     (T, B, 2H) must be zero at padded positions."""
-    X, rev, cf, cb = cache
+    rev, cf, cb = cache
     H = fwd.hidden_size
     cols = np.arange(rev.shape[1])
+    cf["X"] = X
     lstm_backward(dOut[:, :, :H], cf, fwd)
     # the forward direction's buffers are freed before the reversed copies
     # of X and dOut are made

@@ -16,6 +16,7 @@ from scipy.special import expit, logsumexp
 
 from metadapt import nn
 from metadapt.corpus import embed_sentence
+from metadapt.episodes import Episode
 from metadapt.model import RidgeClassifier, ridge_predict, with_bias
 
 
@@ -220,6 +221,50 @@ def gen_backward(dfeat: np.ndarray, cache, gen, cfg):
 def encode(example, gen, table, cfg) -> np.ndarray:
     """Classifier input feature (bias appended) of one sentence."""
     return with_bias(gen_forward(embed_sentence(example, table), gen, cfg)[0])
+
+
+# ---------------------------------------------------------------------------
+# episode sampling
+
+
+def sample_episode(dataset, allowed_classes, spec, rng, source_excludes="all",
+                   with_source=True) -> Episode:
+    """``episodes.sample_episode`` drawing from each pool array with
+    ``rng.choice(pool, ...)``, the array built afresh on every call; the
+    input checks are left to the program's sampler."""
+    need = spec.k_shot + spec.l_query
+    allowed = sorted(allowed_classes)
+    eligible = [c for c in allowed if len(dataset.class_index.get(c, ())) >= need]
+    chosen = rng.choice(len(eligible), size=spec.n_way, replace=False)
+    classes = sorted(eligible[i] for i in chosen)
+    local = {c: i for i, c in enumerate(classes)}
+    support, query, sup_idx, qry_idx = [], [], [], []
+    for c in classes:
+        pool = np.asarray(dataset.class_index[c], dtype=np.intp)
+        pick = rng.choice(pool, size=need, replace=False)
+        for j in pick[:spec.k_shot]:
+            support.append((dataset.examples[j], local[c]))
+            sup_idx.append(int(j))
+        for j in pick[spec.k_shot:]:
+            query.append((dataset.examples[j], local[c]))
+            qry_idx.append(int(j))
+    src_idx = []
+    if with_source:
+        if source_excludes == "all":
+            pool = np.concatenate([np.asarray(dataset.class_index[c], dtype=np.intp)
+                                   for c in allowed if c not in local])
+            src_idx = [int(j) for j in rng.choice(pool, size=spec.n_way * spec.l_query,
+                                                  replace=False)]
+        else:
+            for c in classes:
+                pool = np.concatenate([np.asarray(dataset.class_index[cc], dtype=np.intp)
+                                       for cc in allowed if cc != c])
+                src_idx.extend(int(j) for j in rng.choice(pool, size=spec.l_query,
+                                                          replace=False))
+    return Episode(support=tuple(support), query=tuple(query),
+                   source=tuple(dataset.examples[j] for j in src_idx),
+                   episode_classes=tuple(classes), support_indices=tuple(sup_idx),
+                   query_indices=tuple(qry_idx), source_indices=tuple(src_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from metadapt.corpus import make_dataset, Vocab
 from metadapt.episodes import Episode, EpisodeSpec, relabel, sample_episode
 from metadapt.harness import gen_synthetic_corpus
+import oracles
 
 
 def toy_dataset(n_classes=6, per_class=8, tokens=5):
@@ -49,6 +50,25 @@ class TestRelabel:
 
 
 class TestSampleEpisode:
+    @pytest.mark.parametrize("source_excludes", ["all", "current"])
+    def test_matches_array_choice_oracle(self, source_excludes):
+        # the same episode and generator state after the draw as choice on
+        # each pool array; class sizes are uneven, so pools differ in size
+        vocab = Vocab.from_tokens(["t"])
+        sizes = [5, 9, 6, 14, 7, 8, 11]
+        ds = make_dataset([((0,), c) for c, n in enumerate(sizes) for _ in range(n)],
+                          [f"c{c}" for c in range(len(sizes))], vocab)
+        allowed = [0, 1, 2, 3, 4, 6]
+        for seed in range(300):
+            spec = EpisodeSpec(n_way=2 + seed % 2, k_shot=1 + seed % 2, l_query=2)
+            for with_source in (True, False):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_episode(ds, allowed, spec, got_rng, source_excludes, with_source)
+                want = oracles.sample_episode(ds, allowed, spec, want_rng, source_excludes,
+                                              with_source)
+                assert got == want
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_sizes_n3_k2_l1(self):
         ds = toy_dataset(n_classes=6)
         spec = EpisodeSpec(n_way=3, k_shot=2, l_query=1)

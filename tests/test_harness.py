@@ -1,11 +1,13 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
-from metadapt import model
+from metadapt import model, nn
 from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt import harness
@@ -445,14 +447,52 @@ class TestEvaluationMemo:
         assert len(draws) == 3 * 4 + 5
         assert draws.count(False) == 5   # the validation episodes carry no source set
 
-    def test_no_features_outlive_a_call(self):
+    def test_tables_hold_one_batch(self, monkeypatch):
+        # each batch projects its own distinct tokens, so a token table has
+        # at most one batch's distinct tokens + 1 rows, whatever the call's size
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(15))
+        projected = []   # (inputs, table rows) of every nn.project_inputs call
+        real = nn.project_inputs
+
+        def recording(E, p):
+            P = real(E, p)
+            projected.append((E.copy(), P.shape[0]))
+            return P
+
+        monkeypatch.setattr(nn, "project_inputs", recording)
+        episodes = sampled_episodes(ds, split.test_classes, spec, 10, (6,))
+        evaluate_episodes(gen, mcfg, table, episodes)
+        batch = len(episodes[0].support) + len(episodes[0].query)
+        pending = list(dict.fromkeys(i for ep in episodes
+                                     for i in ep.support_indices + ep.query_indices))
+        chunks = [pending[s:s + batch] for s in range(0, len(pending), batch)]
+        assert len(chunks) > 1 and len(projected) == 2 * len(chunks)   # one per direction
+        for k, chunk in enumerate(chunks):
+            tokens = sorted({t for i in chunk for t in ds.examples[i].token_ids})
+            for E, n_rows in projected[2 * k:2 * k + 2]:
+                assert np.array_equal(E, table.matrix[tokens])
+                assert n_rows == len(tokens) + 1
+
+    def test_no_features_outlive_a_call(self, monkeypatch):
         ds, table, vocab, split, spec, mcfg = small_setup()
         gen = GeneratorParams.init(mcfg, np.random.default_rng(13))
         episodes = sampled_episodes(ds, split.test_classes, spec, 10, (9,))
+        tables = []   # weak references to every token table made
+        real = nn.project_inputs
+
+        def watched(E, p):
+            P = real(E, p)
+            tables.append(weakref.ref(P))
+            return P
+
+        monkeypatch.setattr(nn, "project_inputs", watched)
         accs = []
         for step in range(2):
             accs.append(tuple(evaluate_episodes(gen, mcfg, table, episodes)))
             assert accs[-1] == oracle_accuracies(gen, mcfg, table, episodes)
+            gc.collect()
+            assert tables and all(r() is None for r in tables)
             perturb = np.random.default_rng(14)
             for p in gen.params():
                 p.value += perturb.normal(scale=0.5, size=p.value.shape)

@@ -14,8 +14,8 @@ from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams
                             ModelConfig, RidgeClassifier, attention_weights,
                             discriminator_loss_and_grads, domain_loss, encode,
                             episode_accuracy, episode_forward, episode_scores,
-                            episode_update, fit_episode_classifier, gen_forward,
-                            generator_loss_and_grads, ridge_fit,
+                            episode_update, fit_episode_classifier, gen_backward,
+                            gen_forward, generator_loss_and_grads, ridge_fit,
                             ridge_loss, ridge_predict, update_discriminator,
                             update_generator, with_bias)
 from metadapt.nn import AdamState, LstmParams
@@ -553,6 +553,45 @@ class TestBatchedEncoder:
         too_long = Example(token_ids=(1,) * (cfg.max_len + 1), label=0)
         with pytest.raises(ValueError, match="max_len"):
             gen_forward([too_long], gen, table, cfg)
+
+
+class TestTokenProjection:
+    """Input projections gathered by token: a one-token sentence, tokens
+    repeated within and across sentences, and token 12, which only the
+    third sentence holds."""
+
+    BATCH = ((5,), (0, 1, 0, 1, 0), (2, 3, 12, 2), (1, 4, 5, 6, 7, 8, 0))
+
+    def setup(self, variant):
+        rng = np.random.default_rng(31)
+        cfg = small_cfg(**({} if variant == "default" else {variant: True}))
+        table = EmbeddingTable(matrix=rng.normal(size=(13, 6)), dim=6)
+        gen = GeneratorParams.init(cfg, rng)
+        return rng, cfg, table, gen, [Example(ids, 0) for ids in self.BATCH]
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_features_and_gradients_match_oracle(self, variant):
+        rng, cfg, table, gen, batch = self.setup(variant)
+        dfeats = rng.normal(size=(len(batch), cfg.encoder_dim))
+        feats, cache = gen_forward(batch, gen, table, cfg)
+        gen_backward(dfeats, cache, gen, cfg)
+        got = [p.grad.copy() for p in gen.params()]
+        for p in gen.params():
+            p.zero_grad()
+        for ex, f, df in zip(batch, feats, dfeats):
+            want, c = oracles.gen_forward(embed_sentence(ex, table), gen, cfg)
+            assert np.abs(f - want).max() < 1e-12
+            oracles.gen_backward(df, c, gen, cfg)
+        scale = max(np.abs(p.grad).max() for p in gen.params())
+        for g, p in zip(got, gen.params()):
+            assert np.abs(g - p.grad).max() < 1e-12 * scale
+
+    def test_out_of_range_token_rejected(self):
+        # a negative id must not wrap around to the table's last rows
+        _, cfg, table, gen, _ = self.setup("default")
+        for ids in ((3, 13), (-1, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                gen_forward([Example((5,), 0), Example(ids, 0)], gen, table, cfg)
 
 
 class TestEpisodePhases:

@@ -9,8 +9,8 @@ from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
                          ffn_backward, ffn_forward_cached,
                          grad_check, load_arrays, lstm_backward, lstm_forward,
-                         one_hot, reverse_index, save_arrays, softmax,
-                         softmax_cross_entropy)
+                         one_hot, project_inputs, reverse_index, save_arrays,
+                         softmax, softmax_cross_entropy)
 import oracles
 from oracles import cross_entropy, ffn_forward, lstm_cell
 
@@ -138,9 +138,30 @@ def padded(columns):
     return X, lengths
 
 
+def positions(X):
+    """Every position of a padded batch X (T, B, d) as an input of its own:
+    the inputs (T * B, d) and each position's row (T, B)."""
+    T, B, d = X.shape
+    return X.reshape(T * B, d), np.arange(T * B).reshape(T, B)
+
+
+def run_lstm(X, p):
+    """lstm_forward on the projections of X's positions, with X cached for
+    lstm_backward."""
+    E, rows = positions(X)
+    out, cache = lstm_forward(project_inputs(E, p)[rows], p)
+    cache["X"] = X
+    return out, cache
+
+
+def run_bilstm(X, lengths, fwd, bwd):
+    """bilstm_forward on the projections of X's positions."""
+    return bilstm_forward(*positions(X), lengths, fwd, bwd)
+
+
 def bilstm1(X, fwd, bwd):
     """bilstm_forward on a batch of one sequence X (d x m); returns 2H x m."""
-    out, _ = bilstm_forward(*padded([X]), fwd, bwd)
+    out, _ = run_bilstm(*padded([X]), fwd, bwd)
     return out[:, 0].T
 
 
@@ -189,6 +210,43 @@ class TestBilstm:
             assert np.allclose(out[:2, t], h, atol=1e-15)
 
 
+class TestGateForm:
+    """The one-tanh gates: sigmoid(z) = 1/2 + tanh(z/2)/2 with the 1/2 of
+    z/2 folded into the projection."""
+
+    def gates(self, z):
+        # d = H = 1 and unit input weights: every gate's pre-activation is z
+        p = LstmParams(Param(np.ones((4, 1))), Param(np.zeros((4, 1))), Param(np.zeros(4)))
+        _, cache = lstm_forward(project_inputs(z[:, None], p)[None, :-1], p)
+        return cache["A"][0]
+
+    def test_sigmoid_gates_match_expit(self):
+        from scipy.special import expit
+        z = np.linspace(-50.0, 50.0, 200001)
+        a = self.gates(z)
+        for col in (0, 1, 3):
+            assert np.abs(a[:, col] - expit(z)).max() <= 4.5e-16
+        assert np.array_equal(a[:, 2], np.tanh(z))
+
+    def test_extreme_inputs_stay_finite(self):
+        a = self.gates(np.array([-1000.0, 1000.0]))
+        assert np.isfinite(a).all()
+        assert a[:, 0].tolist() == [0.0, 1.0] and a[:, 2].tolist() == [-1.0, 1.0]
+
+    def test_table_rows_in_gate_form(self):
+        # row u is W_x e_u + b with the sigmoid columns halved; the last
+        # (padding) row is b alone, what a zero input projects to
+        rng = np.random.default_rng(23)
+        p = LstmParams.init(3, 2, rng)
+        p.b.value[:] = rng.normal(size=8)
+        E = rng.normal(size=(4, 3))
+        P = project_inputs(E, p)
+        half = np.repeat([0.5, 0.5, 1.0, 0.5], 2)
+        assert P.shape == (5, 8)
+        assert np.abs(P[:-1] - (E @ p.w_x.value.T + p.b.value) * half).max() < 1e-15
+        assert np.array_equal(P[-1], p.b.value * half)
+
+
 class TestPaddedBatch:
     """The batched kernels against the per-sentence reference, column by
     column, on sequences of lengths 1 to T padded at their ends."""
@@ -201,7 +259,7 @@ class TestPaddedBatch:
         p = LstmParams.init(d, H, rng)
         X, valid = ragged_batch(rng, d, self.LENGTHS)
         dH = rng.normal(size=X.shape[:2] + (H,)) * valid
-        out, cache = lstm_forward(X, p)
+        out, cache = run_lstm(X, p)
         lstm_backward(dH, cache, p)
         got = [q.grad.copy() for q in p.params()]
         for q in p.params():
@@ -219,8 +277,8 @@ class TestPaddedBatch:
         fwd, bwd = LstmParams.init(d, H, rng), LstmParams.init(d, H, rng)
         X, valid = ragged_batch(rng, d, self.LENGTHS)
         dOut = rng.normal(size=X.shape[:2] + (2 * H,)) * valid
-        out, cache = bilstm_forward(X, self.LENGTHS, fwd, bwd)
-        bilstm_backward(dOut, cache, fwd, bwd)
+        out, cache = run_bilstm(X, self.LENGTHS, fwd, bwd)
+        bilstm_backward(dOut, X, cache, fwd, bwd)
         params = fwd.params() + bwd.params()
         got = [q.grad.copy() for q in params]
         for q in params:
@@ -242,7 +300,7 @@ class TestPaddedBatch:
     def test_cache_serves_one_backward_pass(self):
         rng = np.random.default_rng(22)
         p = LstmParams.init(2, 2, rng)
-        out, cache = lstm_forward(rng.normal(size=(3, 2, 2)), p)
+        out, cache = run_lstm(rng.normal(size=(3, 2, 2)), p)
         lstm_backward(np.ones_like(out), cache, p)
         with pytest.raises(ValueError, match="consumed"):
             lstm_backward(np.ones_like(out), cache, p)
@@ -356,7 +414,7 @@ class TestBackwardPasses:
         w_out = rng.normal(size=(5, 3, H)) * valid
 
         def loss_fn():
-            out, cache = lstm_forward(X, p)
+            out, cache = run_lstm(X, p)
             lstm_backward(w_out, cache, p)
             return float((w_out * out).sum())
 
@@ -371,8 +429,8 @@ class TestBackwardPasses:
         w_out = rng.normal(size=(4, 3, 2 * H)) * valid
 
         def loss_fn():
-            out, cache = bilstm_forward(X, lengths, fwd, bwd)
-            bilstm_backward(w_out, cache, fwd, bwd)
+            out, cache = run_bilstm(X, lengths, fwd, bwd)
+            bilstm_backward(w_out, X, cache, fwd, bwd)
             return float((w_out * out).sum())
 
         assert grad_check(loss_fn, fwd.params() + bwd.params(),
@@ -558,8 +616,8 @@ class TestPurityAndStability:
         rng = np.random.default_rng(18)
         p = LstmParams.init(3, 2, rng)
         X = rng.normal(size=(4, 2, 3))
-        a1, _ = lstm_forward(X, p)
-        a2, _ = lstm_forward(X, p)
+        a1, _ = run_lstm(X, p)
+        a2, _ = run_lstm(X, p)
         assert a1.tobytes() == a2.tobytes()
         s1 = softmax(X[0, 0])
         s2 = softmax(X[0, 0])

@@ -48,3 +48,7 @@ def test_traced_train_and_meta_test(tmp_path):
                                           "eval_episodes_per_s": 1.0, "run_s": 1.0})
     assert all(math.isfinite(value) for value, _ in figures.values())
     assert figures["model.encode.unique_ratio"][0] == 1.0
+    # one LSTM call per direction and training episode, forward and back:
+    # the per-layer LSTM figures see every kernel call
+    assert figures["nn.lstm_forward.calls_per_episode"][0] == 2
+    assert figures["nn.lstm_backward.calls_per_episode"][0] == 2
