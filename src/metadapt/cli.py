@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+A data error is an unreadable or malformed input, or a config or episode
+shape that the corpus cannot serve; ``train`` and ``eval`` refuse both
+before any output.
 """
 
 from __future__ import annotations
@@ -208,10 +211,16 @@ def _cmd_eval(args) -> int:
         test_classes = set(dataset.classes)
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
-    report = harness.meta_test(gen, model_cfg, table, dataset, test_classes, spec,
-                               n_episodes=args.n_episodes, seeds=seeds,
-                               train_classes=train_classes)
+    # EpisodeSpec checks the shape's ranges, and meta_test checks its
+    # arguments and samples a seed's episodes before it encodes any, so a
+    # ValueError from either is a request the corpus cannot serve
+    try:
+        spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
+        report = harness.meta_test(gen, model_cfg, table, dataset, test_classes, spec,
+                                   n_episodes=args.n_episodes, seeds=seeds,
+                                   train_classes=train_classes)
+    except ValueError as exc:
+        raise DataError(f"eval: {exc}") from None
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("epochs, episodes_per_epoch, and val_episodes must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 @dataclass
@@ -261,6 +263,8 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
             raise ValueError(f"test classes overlap train classes: {sorted(overlap)}")
     if not seeds:
         raise ValueError("at least one seed is required")
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     accs: list[float] = []
     features: dict = {}  # one memo for all seeds: the generator stays frozen
     for seed in seeds:

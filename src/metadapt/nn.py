@@ -11,16 +11,19 @@ cache exist so the matching ``*_backward`` can replay exact activations.
 The LSTM kernels run a whole padded batch of sequences per call on
 pre-activations gathered from a table of projected inputs, and their
 backward passes consume the cache: the gate buffer becomes the gradient
-buffer.
+buffer.  A large enough batch runs the BiLSTM's two directions on two
+threads when BLAS runs one thread per call (``_split_directions``).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import DataError
 
@@ -261,22 +264,24 @@ def bilstm_forward(E: np.ndarray, rows: np.ndarray, lengths, fwd: LstmParams,
 
     ``E`` (U, d) holds the distinct input vectors and ``rows`` (T, B) each
     position's row in ``E``, padded positions row U.  Each direction
-    projects ``E`` into its project_inputs table, gathers its
-    pre-activations from it and drops it before the next direction's is
-    made.  Position t of column b holds the forward state after reading
-    tokens 0..t on top of the backward state after reading tokens
-    len_b - 1..t.  The backward direction gathers with each column's rows
-    reversed within its length, so its padding also trails.  States at
-    padded positions are meaningless.  Returns (H_ctx, cache for
-    bilstm_backward).
+    projects ``E`` into its own project_inputs table and gathers its
+    pre-activations from it.  Position t of column b holds the forward
+    state after reading tokens 0..t on top of the backward state after
+    reading tokens len_b - 1..t.  The backward direction gathers with each
+    column's rows reversed within its length, so its padding also trails.
+    States at padded positions are meaningless.  The directions run one
+    after the other, or side by side (``_run_directions``).  Returns
+    (H_ctx, cache for bilstm_backward).
     """
     T, B = rows.shape
     if T < 1 or B < 1:
         raise ValueError("bilstm_forward expects a non-empty T x B batch")
     rev = reverse_index(lengths, T)
     cols = np.arange(B)
-    Hf, cf = lstm_forward(project_inputs(E, fwd)[rows], fwd)
-    Hb, cb = lstm_forward(project_inputs(E, bwd)[rows[rev, cols]], bwd)
+    (Hf, cf), (Hb, cb) = _run_directions(
+        lambda: lstm_forward(project_inputs(E, fwd)[rows], fwd),
+        lambda: lstm_forward(project_inputs(E, bwd)[rows[rev, cols]], bwd),
+        _split_directions(T, B, fwd.hidden_size))
     return np.concatenate([Hf, Hb[rev, cols]], axis=2), (rev, cf, cb)
 
 
@@ -284,16 +289,99 @@ def bilstm_backward(dOut: np.ndarray, X: np.ndarray, cache, fwd: LstmParams,
                     bwd: LstmParams) -> None:
     """Backprop through bilstm_forward into both directions' grads.  ``X``
     (T, B, d) holds the inputs at their positions, zero at padding; dOut
-    (T, B, 2H) must be zero at padded positions."""
+    (T, B, 2H) must be zero at padded positions.  The backward direction
+    makes its reversed copies of X and dOut itself, so when the directions
+    run side by side both directions' BPTT buffers are live at once."""
     rev, cf, cb = cache
+    T, B = rev.shape
     H = fwd.hidden_size
-    cols = np.arange(rev.shape[1])
-    cf["X"] = X
-    lstm_backward(dOut[:, :, :H], cf, fwd)
-    # the forward direction's buffers are freed before the reversed copies
-    # of X and dOut are made
-    cb["X"] = X[rev, cols]
-    lstm_backward(dOut[rev, cols, H:], cb, bwd)
+    cols = np.arange(B)
+
+    def forward_direction():
+        cf["X"] = X
+        lstm_backward(dOut[:, :, :H], cf, fwd)
+
+    def backward_direction():
+        cb["X"] = X[rev, cols]
+        lstm_backward(dOut[rev, cols, H:], cb, bwd)
+
+    _run_directions(forward_direction, backward_direction, _split_directions(T, B, H))
+
+
+# ---------------------------------------------------------------------------
+# running the two directions side by side
+#
+# The directions share no state until their outputs are concatenated, and
+# numpy and BLAS release the GIL, so on two CPUs they can overlap.  Each
+# direction runs the same operations in the same order either way and
+# writes only its own arrays and Params, so the results are bitwise equal.
+
+# A batch splits when its recurrent work T*B*H^2 reaches this.  Below it the
+# per-step arrays are too small for two threads to beat one.  Forward plus
+# backward with one BLAS thread on 2 vCPUs, split against serial speed:
+# 0.6x at the acceptance shape (12*44*16^2 = 1.4e5), 0.97x at 2.8e6, 1.0x
+# at 4.9e6, 1.28x at 5.5e6 and 1.33x at a paper-shape batch (40*30*128^2
+# = 2.0e7).
+SPLIT_MIN_WORK = 4_000_000
+
+
+def _split_allowed(environ, blas_name: str, cpus: int) -> bool:
+    """Whether a second thread has a CPU of its own: BLAS runs one thread
+    per call and the process may use two CPUs or more.  BLAS takes its
+    thread count, when it loads, from the first of its variables that holds
+    a positive integer, and runs a thread per CPU when none does; the two
+    directions would then compete with its threads for the same CPUs."""
+    if "mkl" in blas_name.lower():
+        names = ("MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    else:
+        names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    for name in names:
+        value = environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1 and cpus >= 2
+    return False
+
+
+def _blas_name() -> str:
+    config = getattr(np.__config__, "CONFIG", {})   # numpy >= 1.26
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name") or ""
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# read once: BLAS reads its variables once, when numpy loads it
+_SPLIT_ALLOWED = _split_allowed(os.environ, _blas_name(), _cpu_count())
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _split_directions(T: int, B: int, H: int) -> bool:
+    """Whether a (T, B) batch of width H runs its directions side by side."""
+    return _SPLIT_ALLOWED and T * B * H * H >= SPLIT_MIN_WORK
+
+
+def _run_directions(forward, backward, split: bool):
+    """(forward(), backward()): in order on this thread, or with backward()
+    on a long-lived worker thread while forward() runs here.  The worker is
+    always joined before this returns or raises, so it never writes into a
+    buffer its caller still uses; an exception from either side reaches the
+    caller."""
+    if not split:
+        return forward(), backward()
+    global _worker
+    with _worker_lock:   # callers on several threads share one worker
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="metadapt-bilstm")
+    future = _worker.submit(backward)
+    try:
+        out = forward()
+    finally:
+        wait((future,))
+    return out, future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +393,6 @@ def _activation(name: str):
         return (lambda z: z), (lambda z, a: np.ones_like(z))
     if name == "relu":
         return (lambda z: np.maximum(z, 0.0)), (lambda z, a: (z > 0).astype(np.float64))
-    if name == "tanh":
-        return np.tanh, (lambda z, a: 1.0 - a * a)
-    if name == "sigmoid":
-        return expit, (lambda z, a: a * (1.0 - a))
     raise ValueError(f"unknown activation {name!r}")
 
 

@@ -147,7 +147,12 @@ class TestExitCodes:
         ("epochs=0", "epochs, episodes_per_epoch, and val_episodes must be >= 1"),
         ("n_way=0", "n_way must be >= 2"),
         ("disc_hidden1=0", "disc_hidden must be two widths >= 1, got (0, 128)"),
-    ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way", "disc_hidden1"])
+        ("lr=nan", "lr must be finite and > 0, got nan"),
+        ("lr=inf", "lr must be finite and > 0, got inf"),
+        ("lr=0", "lr must be finite and > 0, got 0.0"),
+        ("lr=-1", "lr must be finite and > 0, got -1.0"),
+    ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way", "disc_hidden1",
+            "nan_lr", "inf_lr", "zero_lr", "negative_lr"])
     def test_data_error_out_of_range_config(self, line, shown, synth_dir, tmp_path,
                                             capsys):
         config = tmp_path / "c.txt"
@@ -226,6 +231,32 @@ class TestExitCodes:
                    "--embeddings", str(synth_dir / "embeddings.vec"),
                    "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+
+class TestEvalShape:
+    """``eval`` refuses an episode request the corpus cannot serve with a
+    data error, as ``train`` does, and prints no report."""
+
+    @pytest.mark.parametrize("args, shown", [
+        (["--n-episodes", "0"], "n_episodes must be >= 1, got 0"),
+        (["--n-way", "99"], "need 99 classes with >= 3 examples, have 2"),
+        (["--k-shot", "50"], "need 2 classes with >= 52 examples, have 0"),
+        (["--seeds", ""], "at least one seed is required"),
+        (["--l-query", "0"], "l_query must be >= 1"),
+    ], ids=["n_episodes", "n_way", "k_shot", "seeds", "l_query"])
+    def test_data_error_exit(self, args, shown, synth_dir, trained_dir, capsys):
+        argv = {"--n-episodes": "2", "--n-way": "2", "--k-shot": "1", "--l-query": "2",
+                "--seeds": "1"}
+        argv.update(zip(args[::2], args[1::2]))
+        rc = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.json"),
+                   "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--split", str(trained_dir / "split.json")]
+                  + [a for kv in argv.items() for a in kv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: eval: {shown}" in captured.err
+        assert captured.out == ""
 
 
 class TestMalformedSplit:

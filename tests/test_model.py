@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from metadapt import model, nn
 from metadapt.corpus import (EmbeddingTable, Example, Vocab, embed_sentence,
-                             make_dataset)
+                             make_dataset, split_classes)
 from metadapt.episodes import EpisodeSpec, sample_episode
-from metadapt.harness import _tiny_instance, gen_synthetic_corpus
+from metadapt.harness import TrainConfig, _tiny_instance, gen_synthetic_corpus, train
 from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams,
                             ModelConfig, RidgeClassifier, attention_weights,
                             discriminator_loss_and_grads, domain_loss, encode,
@@ -553,6 +554,50 @@ class TestBatchedEncoder:
         too_long = Example(token_ids=(1,) * (cfg.max_len + 1), label=0)
         with pytest.raises(ValueError, match="max_len"):
             gen_forward([too_long], gen, table, cfg)
+
+
+class TestSplitDirections:
+    """The BiLSTM's two directions forced onto two threads give the serial
+    path's bits, through the encoder and through training."""
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_features_and_gradients_equal_serial(self, variant, monkeypatch):
+        kw = {} if variant == "default" else {variant: True}
+        for seed in range(3):
+            episode, gen, disc, cfg, table = ragged_instance(seed, **kw)
+            examples = episode_examples(with_extremes(episode, cfg), cfg)
+            dfeats = np.random.default_rng(seed).normal(size=(len(examples), cfg.encoder_dim))
+            runs = []
+            for split in (False, True):
+                monkeypatch.setattr(nn, "_split_directions", lambda T, B, H, s=split: s)
+                for p in gen.params():
+                    p.zero_grad()
+                feats, cache = gen_forward(examples, gen, table, cfg)
+                gen_backward(dfeats, cache, gen, cfg)
+                runs.append([feats] + [p.grad.copy() for p in gen.params()])
+            for a, b in zip(*runs):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_train_writes_same_files(self, variant, tmp_path, monkeypatch):
+        ds, table, _ = gen_synthetic_corpus(8, 10, 8, 2, 6, 12, seed=0)
+        split = split_classes(ds.classes, (4, 2, 2), np.random.default_rng(0))
+        kw = {} if variant == "default" else {variant: True}
+        mcfg = ModelConfig(dim=12, hidden=6, lam=0.5, max_len=8, disc_hidden=(12, 8), **kw)
+        cfg = TrainConfig(spec=EpisodeSpec(2, 1, 2), epochs=2, episodes_per_epoch=4,
+                          patience=5, seed=4, val_episodes=2, lr=0.01)
+        for split_on in (False, True):
+            monkeypatch.setattr(nn, "_split_directions", lambda T, B, H, s=split_on: s)
+            train(ds, split, cfg, mcfg, table, out_dir=tmp_path / str(split_on))
+
+        def records(run):
+            lines = (tmp_path / run / "metrics.jsonl").read_text().splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+                    for line in lines]
+        assert len(records("True")) == 8
+        assert records("False") == records("True")
+        assert (tmp_path / "False" / "checkpoint.json").read_bytes() == \
+            (tmp_path / "True" / "checkpoint.json").read_bytes()
 
 
 class TestTokenProjection:

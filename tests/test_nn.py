@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metadapt
+from metadapt import nn
 from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
                          ffn_backward, ffn_forward_cached,
@@ -313,18 +321,24 @@ class TestFfn:
         assert np.array_equal(ffn_forward(x, lay), x)
 
     def test_zero_weights_give_activation_of_zero(self):
-        for act, want in [("relu", 0.0), ("tanh", 0.0), ("sigmoid", 0.5), ("linear", 0.0)]:
+        for act in ("relu", "linear"):
             lay = [(Param(np.zeros((4, 3))), Param(np.zeros(4)), act)]
             out = ffn_forward(np.array([1.0, 2.0, 3.0]), lay)
-            assert np.allclose(out, np.full(4, want), atol=1e-15)
+            assert np.array_equal(out, np.zeros(4))
+        for act in ("tanh", "sigmoid"):   # no model uses them
+            lay = [(Param(np.zeros((4, 3))), Param(np.zeros(4)), act)]
+            with pytest.raises(ValueError, match="unknown activation"):
+                ffn_forward(np.array([1.0, 2.0, 3.0]), lay)
 
     def test_two_layer_composition_oracle(self):
         rng = np.random.default_rng(6)
         w1, b1 = rng.normal(size=(5, 3)), rng.normal(size=5)
         w2, b2 = rng.normal(size=(2, 5)), rng.normal(size=2)
-        lay = [(Param(w1), Param(b1), "tanh"), (Param(w2), Param(b2), "linear")]
+        lay = [(Param(w1), Param(b1), "relu"), (Param(w2), Param(b2), "linear")]
         x = rng.normal(size=3)
-        want = w2 @ np.tanh(w1 @ x + b1) + b2
+        z = w1 @ x + b1
+        assert (z > 0).any() and (z < 0).any()   # both sides of the relu
+        want = w2 @ np.maximum(z, 0.0) + b2
         assert np.abs(ffn_forward(x, lay) - want).max() < 1e-12
 
     def test_batch_rows_match_single(self):
@@ -402,6 +416,173 @@ def ragged_batch(rng, d, lengths):
     X, _ = padded([rng.normal(size=(d, m)) for m in lengths])
     valid = (np.arange(X.shape[0])[:, None] < np.asarray(lengths)[None, :])[:, :, None]
     return X, valid
+
+
+def split_directions(monkeypatch, split: bool):
+    """Force the BiLSTM's two directions onto two threads, or onto one."""
+    monkeypatch.setattr(nn, "_split_directions", lambda T, B, H: split)
+
+
+class TestSplitDirections:
+    """The two BiLSTM directions on two threads: the same bits as the serial
+    path, errors from either side reach the caller, and the split engages
+    only for large batches with one BLAS thread per call."""
+
+    def instance(self, seed, d=7, H=5, lengths=(3, 1, 9, 6, 9, 2)):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmParams.init(d, H, rng), LstmParams.init(d, H, rng)
+        X, valid = ragged_batch(rng, d, lengths)
+        dOut = rng.normal(size=X.shape[:2] + (2 * H,)) * valid
+        return X, list(lengths), fwd, bwd, dOut
+
+    @staticmethod
+    def forward_backward(X, lengths, fwd, bwd, dOut):
+        params = fwd.params() + bwd.params()
+        for q in params:
+            q.zero_grad()
+        out, cache = run_bilstm(X, lengths, fwd, bwd)
+        bilstm_backward(dOut, X, cache, fwd, bwd)
+        return [out] + [q.grad.copy() for q in params]
+
+    def test_bitwise_equal_to_serial(self, monkeypatch):
+        for seed in range(3):
+            args = self.instance(seed)
+            split_directions(monkeypatch, False)
+            serial = self.forward_backward(*args)
+            split_directions(monkeypatch, True)
+            split = self.forward_backward(*args)
+            for a, b in zip(serial, split):
+                assert np.array_equal(a, b)
+
+    def test_backward_direction_runs_on_the_worker(self, monkeypatch):
+        X, lengths, fwd, bwd, dOut = self.instance(1)
+        seen = []
+        for name in ("lstm_forward", "lstm_backward"):
+            real = getattr(nn, name)
+
+            def spy(*args, real=real, name=name):
+                seen.append((name, args[-1] is bwd, threading.current_thread()))
+                return real(*args)
+            monkeypatch.setattr(nn, name, spy)
+        for split in (False, True):
+            split_directions(monkeypatch, split)
+            seen.clear()
+            self.forward_backward(X, lengths, fwd, bwd, dOut)
+            assert len(seen) == 4
+            for name, backward_direction, thread in seen:
+                here = thread is threading.current_thread()
+                assert here == (not (split and backward_direction)), (name, split)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        X, lengths, fwd, bwd, dOut = self.instance(2)
+        real = nn.lstm_forward
+
+        def failing(A, p):
+            if p is bwd:
+                raise RuntimeError("backward direction failed")
+            return real(A, p)
+        monkeypatch.setattr(nn, "lstm_forward", failing)
+        split_directions(monkeypatch, True)
+        with pytest.raises(RuntimeError, match="backward direction failed"):
+            run_bilstm(X, lengths, fwd, bwd)
+
+    def test_caller_waits_for_worker_when_its_direction_raises(self):
+        finished = threading.Event()
+
+        def forward():
+            raise RuntimeError("forward direction failed")
+
+        def backward():
+            time.sleep(0.2)
+            finished.set()
+        with pytest.raises(RuntimeError, match="forward direction failed"):
+            nn._run_directions(forward, backward, True)
+        assert finished.is_set()
+
+    def test_callers_on_several_threads_share_one_worker(self, monkeypatch):
+        instances = [self.instance(seed) for seed in range(4)]
+        split_directions(monkeypatch, False)
+        want = [self.forward_backward(*args) for args in instances]
+        split_directions(monkeypatch, True)
+        monkeypatch.setattr(nn, "_worker", None)
+        created = []
+        real = nn.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            created.append(real(*args, **kwargs))
+            return created[-1]
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", counting)
+        got = [None] * len(instances)
+        start = threading.Barrier(len(instances), timeout=60)
+
+        def run(i):
+            start.wait()
+            for _ in range(5):
+                got[i] = self.forward_backward(*instances[i])
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(instances))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(created) == 1
+        for w, g in zip(want, got):
+            for a, b in zip(w, g):
+                assert np.array_equal(a, b)
+
+    def test_split_needs_enough_work(self, monkeypatch):
+        monkeypatch.setattr(nn, "_SPLIT_ALLOWED", True)
+        assert nn._split_directions(40, 30, 128)       # a paper-shape evaluation batch
+        assert not nn._split_directions(12, 44, 16)    # an acceptance-shape training batch
+        assert nn._split_directions(nn.SPLIT_MIN_WORK, 1, 1)
+        assert not nn._split_directions(nn.SPLIT_MIN_WORK - 1, 1, 1)
+        monkeypatch.setattr(nn, "_SPLIT_ALLOWED", False)
+        assert not nn._split_directions(40, 55, 128)
+
+    @pytest.mark.parametrize("env, blas, cpus, allowed", [
+        ({}, "scipy-openblas", 2, False),                     # BLAS uses every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", 1, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "scipy-openblas", 4, False),
+        ({"GOTO_NUM_THREADS": "1"}, "openblas", 2, True),
+        ({"OMP_NUM_THREADS": "1"}, "openblas", 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "openblas", 2, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, "openblas", 2, True),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, "openblas", 8, False),
+        ({"MKL_NUM_THREADS": "1"}, "openblas", 2, False),
+        ({"MKL_NUM_THREADS": "1"}, "mkl-sdl", 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "mkl-sdl", 2, False),
+    ])
+    def test_split_needs_one_blas_thread_and_two_cpus(self, env, blas, cpus, allowed):
+        assert nn._split_allowed(env, blas, cpus) is allowed
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_decided_at_import_from_the_environment(self, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = env["MKL_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = str(Path(metadapt.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", "from metadapt import nn; "
+                              "print(nn._SPLIT_ALLOWED, nn._worker)"],
+                             env=env, capture_output=True, text=True, timeout=60, check=True)
+        allowed = threads is not None and nn._cpu_count() >= 2
+        assert out.stdout.split() == [str(allowed), "None"]   # importing starts no thread
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(metadapt.__file__).resolve().parents[1]))
+    code = ("import sys, metadapt; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBackwardPasses:
