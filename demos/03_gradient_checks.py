@@ -10,7 +10,7 @@ Run:  python3 demos/03_gradient_checks.py
 
 import numpy as np
 
-from metadapt import LstmParams, grad_check
+from metadapt import LstmParams, flatten, grad_check
 from metadapt.nn import lstm_backward, lstm_forward, project_inputs
 from metadapt.harness import run_gradient_checks
 
@@ -36,7 +36,9 @@ def loss_fn():
     return float((probe * out).sum())
 
 
-err = grad_check(loss_fn, params.params(), n_coords=500, rng=rng)
+# grad_check perturbs one flat value vector and reads one gradient vector:
+# flatten makes the LSTM's three Params views into the two
+err = grad_check(loss_fn, *flatten(params.params()), n_coords=500, rng=rng)
 print(f"LSTM backward vs central differences: max relative error {err:.3e} "
       f"({'ok' if err < 1e-5 else 'SUSPECT'})")
 

@@ -12,6 +12,7 @@ from .harness import (EvalReport, MetricsRecord, TrainConfig, TrainResult,
 from .model import (DiscriminatorParams, EpisodeMetrics, GeneratorParams,
                     ModelConfig, RidgeClassifier, attention_weights, encode,
                     episode_update, ridge_fit, ridge_predict)
-from .nn import AdamState, LstmParams, NumericalError, Param, adam_step, grad_check
+from .nn import (AdamState, LstmParams, NumericalError, Param, adam_step, flatten,
+                 grad_check)
 
 __version__ = "0.1.0"

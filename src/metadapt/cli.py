@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A data error is an unreadable or malformed input, or a config or episode
-shape that the corpus cannot serve; ``train`` and ``eval`` refuse both
-before any output.
+shape that the corpus cannot serve; ``train``, ``eval`` and
+``sample-episodes`` refuse both before any output.
 """
 
 from __future__ import annotations
@@ -275,10 +275,16 @@ def _cmd_dump_attention(args) -> int:
 def _cmd_sample_episodes(args) -> int:
     dataset = load_jsonl_dataset(args.data, label_field=args.label_field,
                                  text_field=args.text_field)
-    spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.n):
-        ep = sample_episode(dataset, dataset.classes, spec, rng)
+    try:  # sample every episode before printing any
+        if args.n < 1:
+            raise ValueError(f"--n must be >= 1, got {args.n}")
+        spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
+        rng = np.random.default_rng(args.seed)
+        episodes = [sample_episode(dataset, dataset.classes, spec, rng)
+                    for _ in range(args.n)]
+    except ValueError as exc:
+        raise DataError(f"sample-episodes: {exc}") from None
+    for i, ep in enumerate(episodes):
         names = [dataset.label_names[c] for c in ep.episode_classes]
         print(f"episode {i}: classes={names} "
               f"support={list(ep.support_indices)} query={list(ep.query_indices)} "

@@ -82,50 +82,34 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
             f"need {spec.n_way} classes with >= {need} examples, have {len(eligible)}")
 
     chosen = rng.choice(len(eligible), size=spec.n_way, replace=False)
-    classes = sorted(eligible[i] for i in chosen)
-    local = {c: i for i, c in enumerate(classes)}
+    classes = sorted(eligible[i] for i in chosen)   # local label = position
 
     # pool[rng.choice(pool.size, ...)] draws what rng.choice(pool, ...) does,
     # from the same generator state, without converting pool on every call
     arrays = dataset.class_arrays
-    support, query = [], []
     sup_idx, qry_idx = [], []
     for c in classes:
         pool = arrays[c]
         pick = pool[rng.choice(pool.size, size=need, replace=False)].tolist()
-        for j in pick[:spec.k_shot]:
-            support.append((dataset.examples[j], local[c]))
-            sup_idx.append(j)
-        for j in pick[spec.k_shot:]:
-            query.append((dataset.examples[j], local[c]))
-            qry_idx.append(j)
+        sup_idx += pick[:spec.k_shot]
+        qry_idx += pick[spec.k_shot:]
 
     src_idx: list[int] = []
     if with_source:
-        n_src_per_class = spec.l_query
-        if source_excludes == "all":
-            pools = [arrays[c] for c in allowed if c not in local]
+        # one draw outside the episode's classes, or one per class outside it
+        draws = ([(classes, spec.n_way * spec.l_query)] if source_excludes == "all"
+                 else [({c}, spec.l_query) for c in classes])
+        for excluded, n_src in draws:
+            pools = [arrays[c] for c in allowed if c not in excluded]
             pool = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
-            n_src = spec.n_way * n_src_per_class
             if pool.size < n_src:
-                raise ValueError(
-                    f"source pool has {pool.size} examples, need {n_src}")
-            src_idx = pool[rng.choice(pool.size, size=n_src, replace=False)].tolist()
-        else:
-            for c in classes:
-                pools = [arrays[cc] for cc in allowed if cc != c]
-                pool = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
-                if pool.size < n_src_per_class:
-                    raise ValueError(
-                        f"source pool has {pool.size} examples, need {n_src_per_class}")
-                src_idx.extend(pool[rng.choice(pool.size, size=n_src_per_class,
-                                               replace=False)].tolist())
-    source = tuple(dataset.examples[j] for j in src_idx)
+                raise ValueError(f"source pool has {pool.size} examples, need {n_src}")
+            src_idx.extend(pool[rng.choice(pool.size, size=n_src, replace=False)].tolist())
 
     return Episode(
-        support=tuple(support),
-        query=tuple(query),
-        source=source,
+        support=tuple((dataset.examples[j], i // spec.k_shot) for i, j in enumerate(sup_idx)),
+        query=tuple((dataset.examples[j], i // spec.l_query) for i, j in enumerate(qry_idx)),
+        source=tuple(dataset.examples[j] for j in src_idx),
         episode_classes=tuple(classes),
         support_indices=tuple(sup_idx),
         query_indices=tuple(qry_idx),

@@ -3,7 +3,6 @@ metric persistence, and attention/embedding dumps."""
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import json
@@ -137,8 +136,8 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
     train classes, then measures episodic accuracy on the validation classes
     with the generator frozen (the ridge head is refit per episode); the
     validation episodes are sampled once, before the first epoch.  The
-    best-validation parameters are kept; training stops once validation
-    accuracy has not improved for ``patience`` consecutive epochs.
+    best-validation weights are restored at the end; training stops once
+    validation accuracy has not improved for ``patience`` consecutive epochs.
 
     A non-finite loss, or a NumericalError raised inside an episode update,
     aborts with a diagnostic checkpoint rather than being skipped.  ``clock``
@@ -164,7 +163,7 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
 
     history: list[MetricsRecord] = []
     val_accuracies: list[float] = []
-    best_gen, best_disc = copy.deepcopy((gen, disc))
+    best = (gen.values.copy(), disc.values.copy())
     best_acc = -math.inf
     best_epoch = -1
     since_improved = 0
@@ -205,7 +204,7 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_epoch = epoch
-                best_gen, best_disc = copy.deepcopy((gen, disc))
+                best = (gen.values.copy(), disc.values.copy())
                 since_improved = 0
             else:
                 since_improved += 1
@@ -218,12 +217,13 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
         if metrics_fh:
             metrics_fh.close()
 
+    gen.values[...], disc.values[...] = best
     if out is not None:
         _write_csv_summary(out / "metrics.csv", history, val_accuracies,
                            cfg.episodes_per_epoch)
-        save_checkpoint(out / "checkpoint.json", best_gen, best_disc, model_cfg)
+        save_checkpoint(out / "checkpoint.json", gen, disc, model_cfg)
 
-    return TrainResult(gen=best_gen, disc=best_disc, model_cfg=model_cfg,
+    return TrainResult(gen=gen, disc=disc, model_cfg=model_cfg,
                        history=history, val_accuracies=val_accuracies,
                        best_epoch=best_epoch, best_val_accuracy=best_acc,
                        epochs_run=epochs_run)
@@ -445,13 +445,12 @@ def run_gradient_checks(seed: int = 0, n_coords: int = 200) -> dict[str, float]:
         loss, _ = model.generator_loss_and_grads(f, clf, gen, disc, cfg)
         return loss
 
-    errs = {
-        "disc_loss_wrt_mu": nn.grad_check(disc_loss_fn, disc.params(),
+    return {
+        "disc_loss_wrt_mu": nn.grad_check(disc_loss_fn, disc.values, disc.grads,
                                           eps=1e-5, n_coords=n_coords, rng=rng),
-        "gen_loss_wrt_beta": nn.grad_check(gen_loss_fn, gen.params(),
+        "gen_loss_wrt_beta": nn.grad_check(gen_loss_fn, gen.values, gen.grads,
                                            eps=1e-4, n_coords=n_coords, rng=rng),
     }
-    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +467,8 @@ def save_checkpoint(path, gen: GeneratorParams, disc: DiscriminatorParams,
 def load_checkpoint(path):
     """Read a checkpoint; returns (gen, disc, model_cfg).
 
-    The parameters are built for the stored config, and the arrays must
-    carry exactly their names and shapes; anything else raises DataError.
+    The parameters are built for the stored config; arrays with other names
+    or shapes, or a non-finite weight, raise DataError.
     """
     arrays, config = nn.load_arrays(path)
     try:
@@ -488,5 +487,7 @@ def load_checkpoint(path):
         if arrays[name].shape != params[name].value.shape:
             raise DataError(f"{path}: array {name} has shape {arrays[name].shape}, "
                             f"its config needs {params[name].value.shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"{path}: array {name} holds a non-finite weight")
         params[name].value[...] = arrays[name]
     return gen, disc, model_cfg

@@ -17,8 +17,9 @@ one Adam step on the generator (beta).
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,8 +71,17 @@ class ModelConfig:
 
 class _ParamSet:
     """A parameter set whose ``named_params()`` lists every Param under its
-    checkpoint name.  That order is also the Adam moment order and the
-    checkpoint's array order."""
+    checkpoint name.  In that order its Params are views into the set's
+    ``values`` and ``grads`` vectors, and the checkpoint stores its arrays."""
+
+    def __post_init__(self):
+        self.values, self.grads = nn.flatten(self.params())
+
+    def __deepcopy__(self, memo):
+        """A copy flattened again: numpy copies each Param's view on its own."""
+        clone = type(self)(*copy.deepcopy([getattr(self, f.name) for f in fields(self)], memo))
+        clone.grads[...] = self.grads
+        return clone
 
     def params(self) -> list[Param]:
         return list(self.named_params().values())
@@ -404,8 +414,7 @@ def _score_query(fwd: EpisodeForward, clf: RidgeClassifier):
 def discriminator_loss_and_grads(fwd: EpisodeForward, disc: DiscriminatorParams) -> float:
     """Domain loss over the episode's query+source embeddings, with analytic
     gradients accumulated into the discriminator (generator held fixed)."""
-    for p in disc.params():
-        p.zero_grad()
+    disc.grads.fill(0.0)
     loss, dlogits, cache = domain_loss(*_domain_batch(fwd), disc)
     nn.ffn_backward(dlogits, cache, disc.layers)
     return loss
@@ -415,7 +424,7 @@ def update_discriminator(fwd: EpisodeForward, disc: DiscriminatorParams,
                          opt: AdamState) -> float:
     """Phase 2: one Adam step on the discriminator's domain loss."""
     loss = discriminator_loss_and_grads(fwd, disc)
-    nn.adam_step(opt, disc.params())
+    nn.adam_step(opt, disc.values, disc.grads)
     return loss
 
 
@@ -424,8 +433,7 @@ def generator_loss_and_grads(fwd: EpisodeForward, clf: RidgeClassifier,
                              cfg: ModelConfig):
     """Phase 3 objective and gradients into the generator (theta and the
     discriminator held fixed).  Returns (loss, query accuracy)."""
-    for p in gen.params():
-        p.zero_grad()
+    gen.grads.fill(0.0)
     scores, acc = _score_query(fwd, clf)
     loss, dscores = nn.softmax_cross_entropy(scores, fwd.query_labels)
     # support rows get no gradient: theta is held fixed
@@ -446,7 +454,7 @@ def update_generator(fwd: EpisodeForward, clf: RidgeClassifier,
                      cfg: ModelConfig, opt: AdamState):
     """Phase 3: one Adam step on the generator's objective."""
     loss, acc = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
-    nn.adam_step(opt, gen.params())
+    nn.adam_step(opt, gen.values, gen.grads)
     return loss, acc
 
 

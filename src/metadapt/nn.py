@@ -2,9 +2,9 @@
 
 Everything is float64 numpy.  A ``Param`` pairs a value with an accumulated
 gradient; backward passes *add* into ``grad`` so one scalar loss can flow
-through several subgraphs before an optimizer step.  Callers zero grads
-between independent accumulation cycles (``adam_step`` zeroes them after
-each update).
+through several subgraphs before an optimizer step.  ``flatten`` makes
+Params views into one value vector and one gradient vector, on which
+``adam_step`` and ``grad_check`` work and which callers zero.
 
 Forward functions are pure; the ``*_forward`` variants that also return a
 cache exist so the matching ``*_backward`` can replay exact activations.
@@ -49,8 +49,17 @@ class Param:
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self):
-        self.grad.fill(0.0)
+
+def flatten(params: list) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the Params, in list order, into one contiguous value vector and
+    one zeroed gradient vector, and make each Param's ``value`` and ``grad``
+    its view into them.  Returns (values, grads)."""
+    values = np.concatenate([p.value.ravel() for p in params])
+    grads = np.zeros_like(values)
+    for p, stop in zip(params, np.cumsum([p.value.size for p in params])):
+        start, shape = stop - p.value.size, p.value.shape
+        p.value, p.grad = values[start:stop].reshape(shape), grads[start:stop].reshape(shape)
+    return values, grads
 
 
 def uniform_init(shape, fan, rng: np.random.Generator) -> np.ndarray:
@@ -132,10 +141,6 @@ class LstmParams:
     @property
     def hidden_size(self) -> int:
         return self.w_h.value.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_x.value.shape[1]
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LstmParams":
@@ -445,84 +450,78 @@ def ffn_backward(dout, cache, layers, update_grads: bool = True) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments for a fixed, ordered list of parameters."""
+    """Adam moments of one parameter vector."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list = None
-    v: list = None
+    m: np.ndarray = None
+    v: np.ndarray = None
 
 
-def adam_step(state: AdamState, params):
-    """One Adam update with bias correction; grads are zeroed afterwards."""
-    params = list(params)
+def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray):
+    """One Adam update of ``values`` with bias correction; ``grads`` is
+    zeroed afterwards.  Elementwise: each Param's part rounds as it would alone."""
     if state.m is None:
-        state.m = [np.zeros_like(p.value) for p in params]
-        state.v = [np.zeros_like(p.value) for p in params]
-    if len(state.m) != len(params):
-        raise ValueError("parameter list does not match optimizer state")
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+    if not state.m.shape == grads.shape == values.shape:
+        raise ValueError("parameter vector does not match optimizer state")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p.zero_grad()
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    values -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    grads.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 
 
-def grad_check(loss_fn, params, eps: float = 1e-5, n_coords: int = 200,
-               rng: np.random.Generator = None) -> float:
+def grad_check(loss_fn, values: np.ndarray, grads: np.ndarray, eps: float = 1e-5,
+               n_coords: int = 200, rng: np.random.Generator = None) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``loss_fn()`` must return the scalar loss and accumulate the analytic
-    gradients into ``params`` (grads are zeroed here before the call).  Up to
-    ``n_coords`` coordinates are sampled across all params; the error per
-    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    gradients into ``grads``, the vector ``flatten`` paired with ``values``
+    (zeroed here before the call).  Up to ``n_coords`` coordinates of
+    ``values`` are sampled; the error per coordinate is |analytic - numeric|
+    / max(1e-8, |analytic| + |numeric|).
     """
+    if n_coords < 1:
+        raise ValueError(f"n_coords must be >= 1, got {n_coords}")
     rng = np.random.default_rng(0) if rng is None else rng
-    params = list(params)
-    for p in params:
-        p.zero_grad()
+    grads.fill(0.0)
     base = float(loss_fn())
     if not np.isfinite(base):
         raise NumericalError("non-finite loss in grad_check")
-    analytic = [p.grad.copy() for p in params]
+    analytic = grads.copy()
 
-    sizes = [p.value.size for p in params]
-    coords = [(pi, j) for pi, n in enumerate(sizes) for j in range(n)]
-    if len(coords) > n_coords:
-        sel = rng.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[int(s)] for s in sel]
+    coords = (rng.choice(values.size, size=n_coords, replace=False)
+              if values.size > n_coords else range(values.size))
 
     worst = 0.0
-    for pi, j in coords:
-        flat = params[pi].value.reshape(-1)
-        orig = flat[j]
-        flat[j] = orig + eps
+    for j in coords:
+        orig = values[j]
+        values[j] = orig + eps
         lp = float(loss_fn())
-        flat[j] = orig - eps
+        values[j] = orig - eps
         lm = float(loss_fn())
-        flat[j] = orig
+        values[j] = orig
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise NumericalError("non-finite loss during finite differencing")
         numeric = (lp - lm) / (2.0 * eps)
-        ana = float(analytic[pi].reshape(-1)[j])
+        ana = float(analytic[j])
         err = abs(ana - numeric) / max(1e-8, abs(ana) + abs(numeric))
         worst = max(worst, err)
-    for p in params:
-        p.zero_grad()
+    grads.fill(0.0)
     return worst
 
 

@@ -279,6 +279,39 @@ def params_digest(params) -> str:
     return h.hexdigest()
 
 
+def assert_views(ps):
+    """Each Param of the set ``ps`` is its slice of the set's ``values`` and
+    ``grads`` vectors, in ``named_params()`` order, and together they cover
+    both: a ramp written into a vector reads back through the Params."""
+    for vec, attr in ((ps.values, "value"), (ps.grads, "grad")):
+        saved = vec.copy()
+        vec[:] = np.arange(vec.size)
+        got = [getattr(p, attr).ravel() for p in ps.named_params().values()]
+        assert np.array_equal(np.concatenate(got), np.arange(vec.size))
+        vec[:] = saved
+
+
+def adam_step_per_param(state, params):
+    """``nn.adam_step`` one Param at a time, with one moment array per Param
+    in list order: the update before each parameter set became one vector."""
+    params = list(params)
+    if state.m is None:
+        state.m = [np.zeros_like(p.value) for p in params]
+        state.v = [np.zeros_like(p.value) for p in params]
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.grad.fill(0.0)
+
+
 def ffn_forward(x, layers) -> np.ndarray:
     """Output of ``nn.ffn_forward_cached`` without its cache."""
     return nn.ffn_forward_cached(x, layers)[0]
@@ -366,8 +399,7 @@ def gen_loss_and_grads(episode, clf, gen, disc, cfg, table) -> float:
     and source sentence is encoded and backpropagated on its own, and the
     gradients accumulate into the generator's grads (zeroed first).  The
     support set gets no gradient: theta is held fixed.  Returns the loss."""
-    for p in gen.params():
-        p.zero_grad()
+    gen.grads.fill(0.0)
     nq = len(episode.query)
     q = [gen_forward(embed_sentence(ex, table), gen, cfg) for ex, _ in episode.query]
     s = [] if cfg.no_adversarial else [gen_forward(embed_sentence(ex, table), gen, cfg)

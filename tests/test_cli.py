@@ -40,6 +40,19 @@ class TestSampleEpisodes:
         assert len(out) == 3
         assert out[0].startswith("episode 0:")
 
+    @pytest.mark.parametrize("args, shown", [
+        (["--n-way", "99"], "need 99 classes with >= 6 examples, have 8"),
+        (["--k-shot", "0"], "k_shot must be >= 1"),
+        (["--n", "-1"], "--n must be >= 1, got -1"),
+        (["--n", "0"], "--n must be >= 1, got 0"),
+    ], ids=["n_way", "k_shot", "n_negative", "n_zero"])
+    def test_data_error_exit(self, args, shown, synth_dir, capsys):
+        rc = main(["sample-episodes", "--data", str(synth_dir / "corpus.jsonl")] + args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: sample-episodes: {shown}" in captured.err
+        assert captured.out == ""
+
 
 class TestGradcheck:
     def test_passes(self, capsys):
@@ -319,9 +332,18 @@ def _widen_disc_input(payload):
                     for v in spec["data"][r * cols:(r + 1) * cols] + [0.0]]
 
 
+def _nan_attn_w(payload):
+    payload["arrays"]["gen.attn_w"]["data"][0] = float("nan")
+
+
+def _inf_disc_b(payload):
+    payload["arrays"]["disc.layer3.b"]["data"][1] = float("-inf")
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("corrupt", [_drop_attn_w, _short_data, _drop_lam, _hidden_99,
-                                         _zero_disc_hidden, _widen_disc_input])
+                                         _zero_disc_hidden, _widen_disc_input, _nan_attn_w,
+                                         _inf_disc_b])
     def test_data_error_exit(self, corrupt, synth_dir, trained_dir, tmp_path, capsys):
         payload = json.loads((trained_dir / "checkpoint.json").read_text())
         corrupt(payload)
@@ -333,3 +355,18 @@ class TestMalformedCheckpoint:
                    "--n-episodes", "2", "--n-way", "2", "--k-shot", "1", "--l-query", "2"])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_weight_refused_by_dump_attention(self, bad, synth_dir, trained_dir,
+                                                         tmp_path, capsys):
+        # json reads NaN and Infinity; such a weight used to print nan weights
+        payload = json.loads((trained_dir / "checkpoint.json").read_text())
+        payload["arrays"]["gen.attn_w"]["data"][0] = bad
+        bad_path = tmp_path / "checkpoint.json"
+        bad_path.write_text(json.dumps(payload))
+        rc = main(["dump-attention", "--checkpoint", str(bad_path),
+                   "--embeddings", str(synth_dir / "embeddings.vec"), "--text", "w0 w1 kw0_0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "array gen.attn_w holds a non-finite weight" in captured.err
+        assert captured.out == ""

@@ -19,7 +19,7 @@ from metadapt.harness import (TrainConfig, dump_attention,
 from metadapt.model import (DiscriminatorParams, EpisodeMetrics,
                             GeneratorParams, ModelConfig, encode)
 from metadapt.nn import NumericalError
-from oracles import params_digest
+from oracles import assert_views, params_digest
 
 
 def small_setup(corpus_seed=0, n_classes=8, per_class=10):
@@ -131,6 +131,22 @@ class TestTrain:
         assert best == res.best_val_accuracy
         for later in res.val_accuracies[res.best_epoch + 1:]:
             assert best >= later
+
+    def test_best_epoch_restored_in_place(self, tmp_path):
+        # the best epoch (1) comes before the last (3): the returned sets
+        # hold what a run stopped after the best epoch ends with, their
+        # Params still views into their vectors, and the checkpoint agrees
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        kw = dict(spec=spec, episodes_per_epoch=5, patience=10, seed=3, val_episodes=4,
+                  lr=0.01)
+        res = train(ds, split, TrainConfig(epochs=4, **kw), mcfg, table, out_dir=tmp_path)
+        assert res.best_epoch == 1 and res.epochs_run == 4
+        short = train(ds, split, TrainConfig(epochs=2, **kw), mcfg, table)
+        gen, disc, _ = load_checkpoint(tmp_path / "checkpoint.json")
+        for ps, want, loaded in ((res.gen, short.gen, gen), (res.disc, short.disc, disc)):
+            assert_views(ps)
+            assert np.array_equal(ps.values, want.values)
+            assert np.array_equal(ps.values, loaded.values)
 
     def test_deterministic_runs(self, tmp_path):
         ds, table, vocab, split, spec, mcfg = small_setup()
@@ -300,6 +316,8 @@ class TestCheckpoint:
         assert cfg2 == mcfg
         assert params_digest(gen2.params()) == params_digest(gen.params())
         assert params_digest(disc2.params()) == params_digest(disc.params())
+        assert_views(gen2)
+        assert_views(disc2)
         assert [act for _, _, act in disc2.layers] == ["relu", "relu", "linear"]
 
     def test_round_trip_with_proj(self, tmp_path):

@@ -21,8 +21,8 @@ from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams
                             update_generator, with_bias)
 from metadapt.nn import AdamState, LstmParams
 import oracles
-from oracles import (cross_entropy, disc_loss, discriminate, fuse, fuse_concat, gen_loss,
-                     params_digest, ridge_grad)
+from oracles import (assert_views, cross_entropy, disc_loss, discriminate, fuse,
+                     fuse_concat, gen_loss, params_digest, ridge_grad)
 from oracles import episode_accuracy as oracle_episode_accuracy
 
 LN2 = 0.6931471805599453
@@ -538,7 +538,7 @@ class TestBatchedEncoder:
             return generator_loss_and_grads(fwd, clf, gen, disc, cfg)[0]
 
         # the step of run_gradient_checks' generator check (see its docstring)
-        err = nn.grad_check(loss_fn, gen.params(), eps=1e-4, n_coords=300,
+        err = nn.grad_check(loss_fn, gen.values, gen.grads, eps=1e-4, n_coords=300,
                             rng=np.random.default_rng(5))
         assert err < 1e-5
 
@@ -570,8 +570,7 @@ class TestSplitDirections:
             runs = []
             for split in (False, True):
                 monkeypatch.setattr(nn, "_split_directions", lambda T, B, H, s=split: s)
-                for p in gen.params():
-                    p.zero_grad()
+                gen.grads.fill(0.0)
                 feats, cache = gen_forward(examples, gen, table, cfg)
                 gen_backward(dfeats, cache, gen, cfg)
                 runs.append([feats] + [p.grad.copy() for p in gen.params()])
@@ -621,8 +620,7 @@ class TestTokenProjection:
         feats, cache = gen_forward(batch, gen, table, cfg)
         gen_backward(dfeats, cache, gen, cfg)
         got = [p.grad.copy() for p in gen.params()]
-        for p in gen.params():
-            p.zero_grad()
+        gen.grads.fill(0.0)
         for ex, f, df in zip(batch, feats, dfeats):
             want, c = oracles.gen_forward(embed_sentence(ex, table), gen, cfg)
             assert np.abs(f - want).max() < 1e-12
@@ -676,16 +674,12 @@ class TestEpisodePhases:
         clf, _ = fit_episode_classifier(fwd, cfg.lam)
 
         before = discriminator_loss_and_grads(fwd, disc)
-        for p in disc.params():
-            p.value -= 1e-4 * p.grad
-            p.zero_grad()
+        disc.values -= 1e-4 * disc.grads
         after = discriminator_loss_and_grads(fwd, disc)
         assert after < before
 
         loss0, _ = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
-        for p in gen.params():
-            p.value -= 1e-4 * p.grad
-            p.zero_grad()
+        gen.values -= 1e-4 * gen.grads
         fwd2 = episode_forward(episode, gen, cfg, table)
         loss1, _ = generator_loss_and_grads(fwd2, clf, gen, disc, cfg)
         assert loss1 < loss0
@@ -839,3 +833,54 @@ class TestNamedParams:
             assert ("gen.proj_w" in gen.named_params()) == cfg.no_adversarial
             assert list(disc.named_params()) == [f"disc.layer{i}.{k}" for i in (1, 2, 3)
                                                  for k in ("w", "b")]
+
+
+class TestFlatParams:
+    """Each parameter set keeps its weights in one value vector and its
+    gradients in one gradient vector; every Param is a view into both."""
+
+    def sets(self, seed, **flags):
+        cfg = small_cfg(**flags)
+        rng = np.random.default_rng(seed)
+        gen = GeneratorParams.init(cfg, rng)
+        return gen, DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
+
+    @pytest.mark.parametrize("flags", [{}, {"no_adversarial": True}],
+                             ids=["default", "no_adversarial"])
+    def test_params_are_views_after_init(self, flags):
+        for ps in self.sets(26, **flags):
+            assert_views(ps)
+            assert ps.values.size == sum(p.value.size for p in ps.params())
+
+    @pytest.mark.parametrize("flags", [{}, {"no_adversarial": True}],
+                             ids=["default", "no_adversarial"])
+    def test_adam_bitwise_equal_to_per_param_oracle(self, flags):
+        flat, ref = self.sets(27, **flags), self.sets(27, **flags)
+        rng = np.random.default_rng(28)
+        for ps, rs in zip(flat, ref):
+            opt, opt_ref = AdamState(lr=1e-2), AdamState(lr=1e-2)
+            for _ in range(4):
+                # gradients over eight decades, some exactly zero
+                g = rng.normal(size=ps.values.size) * 10.0 ** rng.uniform(-6, 2, ps.values.size)
+                g[rng.random(g.size) < 0.1] = 0.0
+                ps.grads[:] = g
+                rs.grads[:] = g
+                nn.adam_step(opt, ps.values, ps.grads)
+                oracles.adam_step_per_param(opt_ref, rs.params())
+                assert np.array_equal(ps.values, rs.values)
+                assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in opt_ref.m]))
+                assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in opt_ref.v]))
+                assert not ps.grads.any()
+            assert opt.t == opt_ref.t == 4
+
+    def test_deepcopy_keeps_views(self):
+        for ps in self.sets(29):
+            ps.grads[:] = np.random.default_rng(30).normal(size=ps.grads.size)
+            clone = copy.deepcopy(ps)
+            assert_views(clone)
+            assert np.array_equal(clone.values, ps.values)
+            assert np.array_equal(clone.grads, ps.grads)
+            assert not np.shares_memory(clone.values, ps.values)
+            clone.values += 1.0   # the copy's vector drives its own Params only
+            assert all(np.array_equal(c.value, p.value + 1.0)
+                       for c, p in zip(clone.params(), ps.params()))

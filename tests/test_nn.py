@@ -15,7 +15,7 @@ import metadapt
 from metadapt import nn
 from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
-                         ffn_backward, ffn_forward_cached,
+                         ffn_backward, ffn_forward_cached, flatten,
                          grad_check, load_arrays, lstm_backward, lstm_forward,
                          one_hot, project_inputs, reverse_index, save_arrays,
                          softmax, softmax_cross_entropy)
@@ -271,7 +271,7 @@ class TestPaddedBatch:
         lstm_backward(dH, cache, p)
         got = [q.grad.copy() for q in p.params()]
         for q in p.params():
-            q.zero_grad()
+            q.grad.fill(0.0)
         for b, m in enumerate(self.LENGTHS):
             want, c = oracles.lstm_forward(X[:m, b].T, p)
             assert np.abs(out[:m, b] - want.T).max() < 1e-12
@@ -290,7 +290,7 @@ class TestPaddedBatch:
         params = fwd.params() + bwd.params()
         got = [q.grad.copy() for q in params]
         for q in params:
-            q.zero_grad()
+            q.grad.fill(0.0)
         for b, m in enumerate(self.LENGTHS):
             want, c = oracles.bilstm_forward(X[:m, b].T, fwd, bwd)
             assert np.abs(out[:m, b] - want.T).max() < 1e-12
@@ -439,7 +439,7 @@ class TestSplitDirections:
     def forward_backward(X, lengths, fwd, bwd, dOut):
         params = fwd.params() + bwd.params()
         for q in params:
-            q.zero_grad()
+            q.grad.fill(0.0)
         out, cache = run_bilstm(X, lengths, fwd, bwd)
         bilstm_backward(dOut, X, cache, fwd, bwd)
         return [out] + [q.grad.copy() for q in params]
@@ -599,7 +599,7 @@ class TestBackwardPasses:
             lstm_backward(w_out, cache, p)
             return float((w_out * out).sum())
 
-        assert grad_check(loss_fn, p.params(), n_coords=1000, rng=rng) < 1e-5
+        assert grad_check(loss_fn, *flatten(p.params()), n_coords=1000, rng=rng) < 1e-5
 
     def test_bilstm_backward_grad_check(self):
         rng = np.random.default_rng(10)
@@ -614,7 +614,7 @@ class TestBackwardPasses:
             bilstm_backward(w_out, X, cache, fwd, bwd)
             return float((w_out * out).sum())
 
-        assert grad_check(loss_fn, fwd.params() + bwd.params(),
+        assert grad_check(loss_fn, *flatten(fwd.params() + bwd.params()),
                           n_coords=1000, rng=rng) < 1e-5
 
     def test_lstm_input_gradient(self):
@@ -663,6 +663,7 @@ class TestBackwardPasses:
 
     def test_gradients_accumulate(self):
         p = Param(np.array([2.0]))
+        _, grads = flatten([p])
 
         def loss_fn():
             p.grad += 2.0 * p.value  # d/dp of p^2
@@ -671,12 +672,12 @@ class TestBackwardPasses:
         loss_fn()
         loss_fn()
         assert p.grad[0] == 8.0  # two accumulations of 4.0
-        p.zero_grad()
+        grads.fill(0.0)   # zeroing the vector zeroes the Param's view
         assert p.grad[0] == 0.0
 
 
 def grch(loss_fn, params, rng, eps=1e-5):
-    return grad_check(loss_fn, params, eps=eps, n_coords=1000, rng=rng)
+    return grad_check(loss_fn, *flatten(params), eps=eps, n_coords=1000, rng=rng)
 
 
 class TestGradCheck:
@@ -691,7 +692,7 @@ class TestGradCheck:
             w.grad += x
             return float(w.value @ x)
 
-        assert grad_check(loss_fn, [w], rng=rng) < 1e-10
+        assert grad_check(loss_fn, *flatten([w]), rng=rng) < 1e-10
 
     def test_constant_function_zero_grads(self):
         w = Param(np.ones(4))
@@ -699,7 +700,7 @@ class TestGradCheck:
         def loss_fn():
             return 3.25
 
-        assert grad_check(loss_fn, [w], rng=np.random.default_rng(0)) == 0.0
+        assert grad_check(loss_fn, *flatten([w]), rng=np.random.default_rng(0)) == 0.0
 
     def test_quadratic_grad_is_x(self):
         rng = np.random.default_rng(15)
@@ -709,7 +710,7 @@ class TestGradCheck:
             w.grad += w.value
             return float(0.5 * (w.value ** 2).sum())
 
-        assert grad_check(loss_fn, [w], rng=rng) < 1e-9
+        assert grad_check(loss_fn, *flatten([w]), rng=rng) < 1e-9
 
     def test_corrupted_gradient_detected(self):
         rng = np.random.default_rng(16)
@@ -720,7 +721,7 @@ class TestGradCheck:
             w.grad += 2.0 * x  # doubled analytic gradient
             return float(w.value @ x)
 
-        err = grad_check(loss_fn, [w], rng=rng)
+        err = grad_check(loss_fn, *flatten([w]), rng=rng)
         assert abs(err - 1.0 / 3.0) < 1e-6
 
     def test_attention_pipeline(self):
@@ -739,7 +740,31 @@ class TestGradCheck:
             gen_backward(target, cache, gen, cfg)
             return float((target * s).sum())
 
-        assert grad_check(loss_fn, gen.params(), n_coords=1000, rng=rng) < 1e-5
+        assert grad_check(loss_fn, gen.values, gen.grads, n_coords=1000, rng=rng) < 1e-5
+
+    @pytest.mark.parametrize("n_coords", [0, -1])
+    def test_no_coordinates_rejected(self, n_coords):
+        # with no coordinate sampled, a doubled gradient would pass as exact
+        w = Param(np.ones(3) + 2.0)
+
+        def loss_fn():
+            w.grad += 2.0
+            return float(w.value.sum())
+
+        with pytest.raises(ValueError, match="n_coords"):
+            grad_check(loss_fn, *flatten([w]), n_coords=n_coords)
+
+    def test_flat_coordinates_across_params(self):
+        # every coordinate of a Param list: a doubled gradient in the second
+        # Param shows, so the flat indices reach past the first one
+        a, b = Param(np.ones(2) + 2.0), Param(np.ones(3) + 2.0)
+
+        def loss_fn():
+            a.grad += 1.0
+            b.grad += 2.0
+            return float(a.value.sum() + b.value.sum())
+
+        assert abs(grad_check(loss_fn, *flatten([a, b])) - 1.0 / 3.0) < 1e-6
 
     def test_non_finite_loss_raises(self):
         w = Param(np.ones(2))
@@ -748,14 +773,14 @@ class TestGradCheck:
             return float("nan")
 
         with pytest.raises(NumericalError):
-            grad_check(loss_fn, [w], rng=np.random.default_rng(0))
+            grad_check(loss_fn, *flatten([w]), rng=np.random.default_rng(0))
 
 
 class TestAdam:
     def test_zero_grads_no_move(self):
         p = Param(np.array([1.0, -2.0]))
         st_ = AdamState(lr=0.1)
-        adam_step(st_, [p])
+        adam_step(st_, *flatten([p]))
         assert np.array_equal(p.value, [1.0, -2.0])
         assert st_.t == 1
 
@@ -763,33 +788,38 @@ class TestAdam:
         # step 1 closed form: lr * g / (|g| + eps)
         g = np.array([0.3, -4.0, 1e-3])
         p = Param(np.zeros(3))
+        values, grads = flatten([p])
         p.grad += g
         st_ = AdamState(lr=0.01)
-        adam_step(st_, [p])
+        adam_step(st_, values, grads)
         want = -0.01 * g / (np.abs(g) + 1e-8)
         assert np.abs(p.value - want).max() < 1e-15
 
     def test_grads_zeroed_after_step(self):
         p = Param(np.zeros(2))
+        values, grads = flatten([p])
         p.grad += np.array([1.0, 1.0])
-        adam_step(AdamState(lr=0.1), [p])
+        adam_step(AdamState(lr=0.1), values, grads)
         assert np.array_equal(p.grad, np.zeros(2))
 
     def test_converges_on_quadratic(self):
         # minimize (w - 3)^2 / 2 from 0 with lr 0.1
         p = Param(np.array([0.0]))
+        values, grads = flatten([p])
         st_ = AdamState(lr=0.1)
         for _ in range(500):
             p.grad += p.value - 3.0
-            adam_step(st_, [p])
+            adam_step(st_, values, grads)
         assert abs(p.value[0] - 3.0) < 1e-2
 
     def test_param_list_must_match(self):
         p1, p2 = Param(np.zeros(2)), Param(np.zeros(2))
         st_ = AdamState(lr=0.1)
-        adam_step(st_, [p1])
+        adam_step(st_, *flatten([p1]))
         with pytest.raises(ValueError):
-            adam_step(st_, [p1, p2])
+            adam_step(st_, *flatten([p1, p2]))
+        with pytest.raises(ValueError):   # a gradient vector of another length
+            adam_step(st_, np.zeros(2), np.zeros(3))
 
 
 class TestPurityAndStability:
