@@ -212,8 +212,9 @@ def _cmd_eval(args) -> int:
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     # EpisodeSpec checks the shape's ranges, and meta_test checks its
-    # arguments and samples a seed's episodes before it encodes any, so a
-    # ValueError from either is a request the corpus cannot serve
+    # arguments and samples every seed's episodes before it encodes any
+    # sentence, so a ValueError from either is a request the corpus cannot
+    # serve
     try:
         spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
         report = harness.meta_test(gen, model_cfg, table, dataset, test_classes, spec,

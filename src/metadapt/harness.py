@@ -99,30 +99,33 @@ def sample_eval_episodes(dataset: Dataset, classes, spec: EpisodeSpec, n_episode
 
 
 def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
-                      episodes, features=None) -> list[float]:
+                      episodes) -> list[float]:
     """Per-episode query accuracies of already sampled episodes of one shape,
     with frozen generator parameters.
 
-    The call's distinct examples not yet in ``features`` are encoded in
-    first-seen order, in batches of at most one episode's example count, so
-    no batch is larger than an episode's own.  ``features`` (dataset index
-    -> classifier input, bias appended) is fresh for this call unless the
-    caller passes one it also holds the generator fixed for.  Every ridge
-    head is then fit in one stacked dual solve, and each episode is scored
-    on its own.
+    The call's distinct examples are encoded once each, in first-seen
+    order and forward only (``gen_forward(..., cache=False)`` keeps nothing
+    for BPTT).  Its batches hold at most the sentences one training episode
+    of the same shape encodes in its single pass, N(K+2L) with the source
+    set or N(K+L) under ``no_adversarial``, so no batch is larger than a
+    training batch.  The features (dataset index -> classifier input, bias
+    appended) live for this call only.  Every ridge head is then fit in one
+    stacked dual solve, and each episode is scored on its own.
     """
     if not episodes:
         return []
-    features = {} if features is None else features
-    batch = len(episodes[0].support) + len(episodes[0].query)
-    sampled: dict = {}   # dataset index -> (example, label), in first-seen order
+    first = episodes[0]
+    batch = len(first.support) + len(first.query) * (1 if cfg.no_adversarial else 2)
+    examples: dict = {}   # dataset index -> example, in first-seen order
     for ep in episodes:
-        sampled.update(zip(ep.support_indices + ep.query_indices, ep.support + ep.query))
-    pending = [(i, ex) for i, (ex, _) in sampled.items() if i not in features]
+        examples.update(zip(ep.support_indices + ep.query_indices,
+                            [ex for ex, _ in ep.support + ep.query]))
+    indices, pending = list(examples), list(examples.values())
+    features = {}
     for start in range(0, len(pending), batch):
-        chunk = pending[start:start + batch]
-        feats, _ = model.gen_forward([ex for _, ex in chunk], gen, table, cfg)
-        features.update(zip([i for i, _ in chunk], model.with_bias(feats)))
+        feats, _ = model.gen_forward(pending[start:start + batch], gen, table, cfg,
+                                     cache=False)
+        features.update(zip(indices[start:start + batch], model.with_bias(feats)))
     scores = model.episode_scores(episodes, features, cfg.lam)
     return [model.episode_accuracy(sc, [y for _, y in ep.query])
             for sc, ep in zip(scores, episodes)]
@@ -252,8 +255,10 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
               n_episodes: int = 1000, seeds=(0,), train_classes=None) -> EvalReport:
     """Episodic evaluation over ``n_episodes`` per seed.
 
-    The generator is frozen; only the ridge head is refit per episode, and
-    each distinct example is encoded once for all seeds.  If
+    The generator is frozen; only the ridge head is refit per episode.
+    Every seed's episodes are sampled before any sentence is encoded, and
+    one evaluate_episodes call over all of them encodes each distinct
+    example once; ``per_episode`` lists the accuracies in seed order.  If
     ``train_classes`` is given, disjointness from the test classes is
     asserted first.
     """
@@ -265,13 +270,10 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
         raise ValueError("at least one seed is required")
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    accs: list[float] = []
-    features: dict = {}  # one memo for all seeds: the generator stays frozen
-    for seed in seeds:
-        episodes = sample_eval_episodes(dataset, test_classes, spec, n_episodes,
-                                        np.random.default_rng(seed))
-        accs.extend(evaluate_episodes(gen, cfg, table, episodes, features))
-    arr = np.asarray(accs)
+    episodes = [ep for seed in seeds
+                for ep in sample_eval_episodes(dataset, test_classes, spec, n_episodes,
+                                               np.random.default_rng(seed))]
+    arr = np.asarray(evaluate_episodes(gen, cfg, table, episodes))
     n = arr.size
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
     ci = 1.96 * std / math.sqrt(n) if n > 1 else 0.0

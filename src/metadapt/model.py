@@ -188,16 +188,17 @@ def _encoder_inputs(examples, table: EmbeddingTable):
     return X, table.matrix[vocab], rows, lengths
 
 
-def _attention(E, rows, lengths, gen: GeneratorParams):
+def _attention(E, rows, lengths, gen: GeneratorParams, cache: bool = True):
     """Attention weights k (B, T), zero at padded positions: each BiLSTM
     contextual state is scored with the learned projection and softmaxed
-    across its sentence.  Returns (k, H_ctx, BiLSTM cache)."""
-    H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd)
+    across its sentence.  Returns (k, H_ctx, BiLSTM cache or None)."""
+    H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
     z = H_ctx @ gen.attn_w.value + gen.attn_b.value[0]
     return nn.softmax(z.T, _valid(lengths, rows.shape[0])), H_ctx, bc
 
 
-def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: ModelConfig):
+def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: ModelConfig,
+                cache: bool = True):
     """Encoder features (B, encoder_dim), before the bias, of a batch of
     sentences in one padded BiLSTM pass, plus the cache gen_backward needs.
 
@@ -206,17 +207,19 @@ def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: Mode
     sentence's word vectors with its attention weights, s = W k.
     ``concat_fusion`` puts the weights, zero-padded to ``max_len``, before
     the mean word vector.  ``no_adversarial`` projects the mean contextual
-    state back to word-vector width.
+    state back to word-vector width.  With ``cache=False`` the BiLSTM runs
+    forward only, the features are bitwise the same, and the cache
+    returned is None.
     """
     X, E, rows, lengths = _encoder_inputs(examples, table)
     T = X.shape[0]
     if cfg.no_adversarial:
-        H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd)
+        H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
         H_ctx[~_valid(lengths, T).T] = 0.0
         hbar = H_ctx.sum(axis=0) / lengths[:, None]
         feats = hbar @ gen.proj_w.value.T + gen.proj_b.value
-        return feats, (X, lengths, None, bc, hbar)
-    k, H_ctx, bc = _attention(E, rows, lengths, gen)
+        return feats, ((X, lengths, None, bc, hbar) if cache else None)
+    k, H_ctx, bc = _attention(E, rows, lengths, gen, cache)
     if cfg.concat_fusion:
         if T > cfg.max_len:
             raise ValueError(f"sentence length {T} exceeds max_len {cfg.max_len}")
@@ -227,7 +230,7 @@ def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: Mode
         # s = W k per sentence as a stack of matrix-vector products, which
         # rounds as the per-sentence W @ k does
         feats = np.matmul(np.ascontiguousarray(X.transpose(1, 2, 0)), k[:, :, None])[:, :, 0]
-    return feats, (X, lengths, H_ctx, bc, k)
+    return feats, ((X, lengths, H_ctx, bc, k) if cache else None)
 
 
 def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConfig):
@@ -256,7 +259,7 @@ def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConf
 def encode(example, gen: GeneratorParams, table: EmbeddingTable,
            cfg: ModelConfig) -> np.ndarray:
     """Classifier input feature (bias appended) under the configured variant."""
-    return with_bias(gen_forward([example], gen, table, cfg)[0][0])
+    return with_bias(gen_forward([example], gen, table, cfg, cache=False)[0][0])
 
 
 def attention_weights(example, gen: GeneratorParams, table: EmbeddingTable,
@@ -264,7 +267,7 @@ def attention_weights(example, gen: GeneratorParams, table: EmbeddingTable,
     """Attention vector for one sentence (not available under no_adversarial)."""
     if cfg.no_adversarial:
         raise ValueError("the plain-encoder ablation produces no attention weights")
-    return _attention(*_encoder_inputs([example], table)[1:], gen)[0][0]
+    return _attention(*_encoder_inputs([example], table)[1:], gen, cache=False)[0][0]
 
 
 # ---------------------------------------------------------------------------

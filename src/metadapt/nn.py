@@ -11,8 +11,10 @@ cache exist so the matching ``*_backward`` can replay exact activations.
 The LSTM kernels run a whole padded batch of sequences per call on
 pre-activations gathered from a table of projected inputs, and their
 backward passes consume the cache: the gate buffer becomes the gradient
-buffer.  A large enough batch runs the BiLSTM's two directions on two
-threads when BLAS runs one thread per call (``_split_directions``).
+buffer.  ``lstm_states`` is the forward pass alone, for callers that never
+backpropagate: it keeps no cache.  A large enough batch runs the BiLSTM's
+two directions on two threads when BLAS runs one thread per call
+(``_split_directions``).
 """
 
 from __future__ import annotations
@@ -180,6 +182,31 @@ def project_inputs(E: np.ndarray, p: LstmParams) -> np.ndarray:
     return P
 
 
+def _recurrence(gates, cell, Hout, p: LstmParams):
+    """The cell's time loop, shared by lstm_forward and lstm_states: fills
+    and returns the states Hout (T, B, H).  ``gates(t)`` gives the (B, 4H)
+    buffer that holds step t's input projection and becomes its gate
+    activations, and ``cell(t)`` the (B, H) buffer of its cell state;
+    ``cell(t - 1)`` is read before step t overwrites anything.  Each step
+    adds one (B x H)(H x 4H) product and takes all four gates with one
+    tanh."""
+    H = p.hidden_size
+    scale, shift = _gate_affine(H)
+    wh_t = p.w_h.value.T * scale
+    for t in range(len(Hout)):
+        a, c = gates(t), cell(t)
+        if t:
+            a += Hout[t - 1] @ wh_t
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift                                   # [i, f, g, o]
+        np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=c)
+        if t:
+            c += a[:, H:2 * H] * cell(t - 1)
+        np.multiply(a[:, 3 * H:], np.tanh(c), out=Hout[t])
+    return Hout
+
+
 def lstm_forward(A: np.ndarray, p: LstmParams):
     """Run the cell forward in time over a padded, time-major batch.
 
@@ -188,30 +215,31 @@ def lstm_forward(A: np.ndarray, p: LstmParams):
     token; it becomes the gate buffer.  Column b holds one sequence from
     t = 0, zero initial state.  A sequence shorter than T is padded at its
     end; the states past its end are computed but meaningless, and callers
-    never read them.  Each step adds one (B x H)(H x 4H) product and takes
-    all four gates with one tanh.  Returns (H_out (T, B, H), cache for
-    lstm_backward); the cache holds the gate activations, the cell states
-    and H_out itself.
+    never read them.  Returns (H_out (T, B, H), cache for lstm_backward);
+    the cache holds the gate activations, the cell states and H_out itself.
     """
-    T, B, _ = A.shape
-    H = p.hidden_size
-    scale, shift = _gate_affine(H)
-    C = np.empty((T, B, H))
-    Hout = np.empty((T, B, H))
-    wh_t = p.w_h.value.T * scale
-    for t in range(T):
-        a = A[t]
-        if t:
-            a += Hout[t - 1] @ wh_t
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift                                   # [i, f, g, o]
-        c = C[t]
-        np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=c)
-        if t:
-            c += a[:, H:2 * H] * C[t - 1]
-        np.multiply(a[:, 3 * H:], np.tanh(c), out=Hout[t])
+    C = np.empty(A.shape[:2] + (p.hidden_size,))
+    Hout = _recurrence(A.__getitem__, C.__getitem__, np.empty_like(C), p)
     return Hout, {"A": A, "C": C, "H": Hout}
+
+
+def lstm_states(P: np.ndarray, rows: np.ndarray, p: LstmParams):
+    """lstm_forward's states H_out (T, B, H), bitwise equal, without its
+    cache, for callers that never backpropagate.
+
+    ``P`` is a project_inputs table and ``rows`` (T, B) each position's row
+    in it, within its bounds.  Each step gathers its pre-activations into
+    one (B, 4H) buffer and the cell state alternates between two (B, H)
+    buffers, so besides the states the kernel holds O(B H) doubles where
+    lstm_forward keeps the (T, B, 4H) gates and the (T, B, H) cell states.
+    """
+    Hout = np.empty(rows.shape + (p.hidden_size,))
+    a = np.empty((rows.shape[1], P.shape[1]))
+    cells = np.empty_like(Hout[:2])   # C[t] and C[t - 1], in turn
+    # the rows index P (bilstm_forward builds them), so "clip" changes
+    # nothing and spares take a buffered copy of each step's rows
+    return _recurrence(lambda t: np.take(P, rows[t], axis=0, out=a, mode="clip"),
+                       lambda t: cells[t % 2], Hout, p)
 
 
 def lstm_backward(dH: np.ndarray, cache: dict, p: LstmParams) -> None:
@@ -264,7 +292,7 @@ def reverse_index(lengths, T: int) -> np.ndarray:
 
 
 def bilstm_forward(E: np.ndarray, rows: np.ndarray, lengths, fwd: LstmParams,
-                   bwd: LstmParams):
+                   bwd: LstmParams, cache: bool = True):
     """Contextual states (T, B, 2H) of a padded, time-major batch of inputs.
 
     ``E`` (U, d) holds the distinct input vectors and ``rows`` (T, B) each
@@ -276,18 +304,24 @@ def bilstm_forward(E: np.ndarray, rows: np.ndarray, lengths, fwd: LstmParams,
     column's rows reversed within its length, so its padding also trails.
     States at padded positions are meaningless.  The directions run one
     after the other, or side by side (``_run_directions``).  Returns
-    (H_ctx, cache for bilstm_backward).
+    (H_ctx, cache for bilstm_backward); with ``cache=False`` the directions
+    run lstm_states, which keeps nothing for BPTT, and the cache is None.
     """
     T, B = rows.shape
     if T < 1 or B < 1:
         raise ValueError("bilstm_forward expects a non-empty T x B batch")
     rev = reverse_index(lengths, T)
     cols = np.arange(B)
+
+    def run(p, direction_rows):
+        if cache:   # the table is dropped once gathered
+            return lstm_forward(project_inputs(E, p)[direction_rows], p)
+        return lstm_states(project_inputs(E, p), direction_rows, p), None
+
     (Hf, cf), (Hb, cb) = _run_directions(
-        lambda: lstm_forward(project_inputs(E, fwd)[rows], fwd),
-        lambda: lstm_forward(project_inputs(E, bwd)[rows[rev, cols]], bwd),
+        lambda: run(fwd, rows), lambda: run(bwd, rows[rev, cols]),
         _split_directions(T, B, fwd.hidden_size))
-    return np.concatenate([Hf, Hb[rev, cols]], axis=2), (rev, cf, cb)
+    return np.concatenate([Hf, Hb[rev, cols]], axis=2), (rev, cf, cb) if cache else None
 
 
 def bilstm_backward(dOut: np.ndarray, X: np.ndarray, cache, fwd: LstmParams,
@@ -394,7 +428,7 @@ def _run_directions(forward, backward, split: bool):
 
 
 def _activation(name: str):
-    if name == "linear" or name is None:
+    if name == "linear":
         return (lambda z: z), (lambda z, a: np.ones_like(z))
     if name == "relu":
         return (lambda z: np.maximum(z, 0.0)), (lambda z, a: (z > 0).astype(np.float64))
@@ -461,9 +495,17 @@ class AdamState:
     v: np.ndarray = None
 
 
+# Adam's elementwise passes run over blocks of this many elements, so that
+# each block's moments, gradients and values stay in L2 between passes;
+# over the whole vector at once, every pass streams a paper-shape
+# generator's 4.4 MB vectors from memory again.
+ADAM_BLOCK = 1 << 15
+
+
 def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray):
     """One Adam update of ``values`` with bias correction; ``grads`` is
-    zeroed afterwards.  Elementwise: each Param's part rounds as it would alone."""
+    zeroed afterwards.  Elementwise, so each Param's part, and each block
+    of ``ADAM_BLOCK`` elements, rounds as it would alone."""
     if state.m is None:
         state.m, state.v = np.zeros_like(values), np.zeros_like(values)
     if not state.m.shape == grads.shape == values.shape:
@@ -472,12 +514,13 @@ def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray):
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * grads * grads
-    values -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    for s in range(0, values.size, ADAM_BLOCK):
+        m, v, g, w = (x[s:s + ADAM_BLOCK] for x in (state.m, state.v, grads, values))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        w -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     grads.fill(0.0)
 
 
@@ -533,20 +576,17 @@ def save_arrays(path, arrays: dict, config: dict = None):
     """Write named float arrays plus an optional config dict as JSON.
 
     Floats are serialized with shortest round-trip decimals, so a load
-    reproduces every value bit-exactly.
+    reproduces every value bit-exactly.  The container is written one
+    array at a time, in the bytes one ``json.dump`` of the whole payload
+    gives, so only one array is held as Python floats at once.
     """
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "arrays": {
-            name: {"shape": list(np.asarray(a).shape),
-                   "data": np.asarray(a, dtype=np.float64).ravel().tolist()}
-            for name, a in arrays.items()
-        },
-    }
-    if config is not None:
-        payload["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "arrays": {{')
+        for n, (name, a) in enumerate(arrays.items()):
+            a = np.asarray(a, dtype=np.float64)
+            fh.write(f"{', ' if n else ''}{json.dumps(name)}: ")
+            json.dump({"shape": list(a.shape), "data": a.ravel().tolist()}, fh)
+        fh.write("}}" if config is None else '}, "config": ' + json.dumps(config) + "}")
 
 
 def load_arrays(path):

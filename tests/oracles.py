@@ -9,6 +9,7 @@ replaced.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import scipy.linalg
@@ -310,6 +311,23 @@ def adam_step_per_param(state, params):
         v += (1.0 - b2) * g * g
         p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
         p.grad.fill(0.0)
+
+
+def checkpoint_json(arrays: dict, config: dict = None) -> str:
+    """The text ``nn.save_arrays`` writes: one ``json.dumps`` of the whole
+    payload, every array a list of Python floats, as the container was
+    written before it was streamed one array at a time."""
+    payload = {
+        "format_version": nn.CHECKPOINT_FORMAT_VERSION,
+        "arrays": {
+            name: {"shape": list(np.asarray(a).shape),
+                   "data": np.asarray(a, dtype=np.float64).ravel().tolist()}
+            for name, a in arrays.items()
+        },
+    }
+    if config is not None:
+        payload["config"] = config
+    return json.dumps(payload)
 
 
 def ffn_forward(x, layers) -> np.ndarray:

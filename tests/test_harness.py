@@ -431,23 +431,69 @@ class TestEvaluationMemo:
         assert len(sampled) > len(set(sampled))  # examples recur across episodes
         assert len(calls) == len(set(sampled))
 
-    def test_encode_batches_hold_at_most_one_episode(self, monkeypatch):
-        ds, table, vocab, split, spec, mcfg = small_setup()
-        gen = GeneratorParams.init(mcfg, np.random.default_rng(17))
-        sizes = []
+    def test_encode_batches_hold_at_most_one_training_batch(self, monkeypatch):
+        # a training episode of the same shape (2-way 1-shot 2-query)
+        # encodes N(K+2L) = 10 sentences in one pass, N(K+L) = 6 without
+        # its source set under no_adversarial
+        ds, table, vocab, split, spec, _ = small_setup()
+        index = {id(ex): i for i, ex in enumerate(ds.examples)}
+        batches = []   # dataset indices of every gen_forward call's sentences
         real = model.gen_forward
 
         def recording(examples, *args, **kwargs):
-            sizes.append(len(examples))
+            assert kwargs == {"cache": False}
+            batches.append([index[id(ex)] for ex in examples])
             return real(examples, *args, **kwargs)
 
         monkeypatch.setattr(model, "gen_forward", recording)
-        meta_test(gen, mcfg, table, ds, split.test_classes, spec,
-                  n_episodes=10, seeds=(5, 6))
-        episodes = sampled_episodes(ds, split.test_classes, spec, 10, (5, 6))
-        distinct = {i for ep in episodes for i in ep.support_indices + ep.query_indices}
-        assert len(sizes) > 1 and sum(sizes) == len(distinct)
-        assert max(sizes) <= spec.n_way * (spec.k_shot + spec.l_query)
+        for variant, bound in (("default", 10), ("no_adversarial", 6)):
+            mcfg = variant_cfg(variant)
+            gen = GeneratorParams.init(mcfg, np.random.default_rng(17))
+            batches.clear()
+            meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                      n_episodes=10, seeds=(5, 6))
+            episodes = sampled_episodes(ds, split.test_classes, spec, 10, (5, 6))
+            distinct = list(dict.fromkeys(i for ep in episodes
+                                          for i in ep.support_indices + ep.query_indices))
+            # each example once, in first-seen order over both seeds; only
+            # the last batch may be short, so batches span the seeds
+            assert [i for b in batches for i in b] == distinct
+            assert len(batches) > 1 and all(len(b) == bound for b in batches[:-1])
+            assert len(batches[-1]) <= bound
+
+    def test_seeds_share_one_call_in_seed_order(self, monkeypatch):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(18))
+        alone = [meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                           n_episodes=6, seeds=(seed,)).per_episode for seed in (3, 4, 5)]
+        calls = []
+        real = harness.evaluate_episodes
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return real(*args)
+
+        monkeypatch.setattr(harness, "evaluate_episodes", counting)
+        rep = meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                        n_episodes=6, seeds=(3, 4, 5))
+        assert calls == [18]
+        assert rep.per_episode == alone[0] + alone[1] + alone[2]
+
+    def test_invalid_later_seed_raises_before_encoding(self, monkeypatch):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(19))
+        calls = []
+        real = model.embed_sentence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "embed_sentence", counting)
+        with pytest.raises(ValueError):
+            meta_test(gen, mcfg, table, ds, split.test_classes, spec,
+                      n_episodes=4, seeds=(1, -1))
+        assert calls == []
 
     def test_train_samples_each_validation_episode_once(self, monkeypatch):
         ds, table, vocab, split, spec, mcfg = small_setup()
@@ -481,7 +527,8 @@ class TestEvaluationMemo:
         monkeypatch.setattr(nn, "project_inputs", recording)
         episodes = sampled_episodes(ds, split.test_classes, spec, 10, (6,))
         evaluate_episodes(gen, mcfg, table, episodes)
-        batch = len(episodes[0].support) + len(episodes[0].query)
+        # the sentences of a training episode: support, query and source
+        batch = len(episodes[0].support) + 2 * len(episodes[0].query)
         pending = list(dict.fromkeys(i for ep in episodes
                                      for i in ep.support_indices + ep.query_indices))
         chunks = [pending[s:s + batch] for s in range(0, len(pending), batch)]

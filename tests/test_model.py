@@ -599,6 +599,34 @@ class TestSplitDirections:
             (tmp_path / "True" / "checkpoint.json").read_bytes()
 
 
+class TestForwardOnlyEncoder:
+    """gen_forward(..., cache=False), the encoder of every caller that never
+    backpropagates: the cached pass's bits, and no cache."""
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_features_equal_cached_pass(self, variant):
+        kw = {} if variant == "default" else {variant: True}
+        for seed in range(3):
+            episode, gen, disc, cfg, table = ragged_instance(seed, **kw)
+            examples = episode_examples(with_extremes(episode, cfg), cfg)
+            want, cache = gen_forward(examples, gen, table, cfg)
+            got, none = gen_forward(examples, gen, table, cfg, cache=False)
+            assert cache is not None and none is None
+            assert np.array_equal(got, want)
+
+    def test_encode_and_attention_weights_keep_no_cache(self, monkeypatch):
+        episode, gen, disc, cfg, table = ragged_instance(3)
+        ex = episode.query[0][0]
+        cached = with_bias(gen_forward([ex], gen, table, cfg)[0][0])
+
+        def cached_kernel(*args):
+            raise AssertionError("a forward-only caller ran the cached LSTM kernel")
+
+        monkeypatch.setattr(nn, "lstm_forward", cached_kernel)
+        assert np.array_equal(encode(ex, gen, table, cfg), cached)
+        assert attention_weights(ex, gen, table, cfg).shape == (len(ex.token_ids),)
+
+
 class TestTokenProjection:
     """Input projections gathered by token: a one-token sentence, tokens
     repeated within and across sentences, and token 12, which only the

@@ -17,7 +17,7 @@ from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
                          ffn_backward, ffn_forward_cached, flatten,
                          grad_check, load_arrays, lstm_backward, lstm_forward,
-                         one_hot, project_inputs, reverse_index, save_arrays,
+                         lstm_states, one_hot, project_inputs, reverse_index, save_arrays,
                          softmax, softmax_cross_entropy)
 import oracles
 from oracles import cross_entropy, ffn_forward, lstm_cell
@@ -576,6 +576,50 @@ class TestSplitDirections:
         assert out.stdout.split() == [str(allowed), "None"]   # importing starts no thread
 
 
+def token_batch(rng, d, U, lengths):
+    """U distinct inputs (U, d) and each position's row (T, B) among them,
+    for sequences of the given lengths; padded positions get row U, the
+    padding row of a project_inputs table."""
+    valid = np.arange(max(lengths))[:, None] < np.asarray(lengths)[None, :]
+    return rng.normal(size=(U, d)), np.where(valid, rng.integers(0, U, size=valid.shape), U)
+
+
+class TestForwardOnly:
+    """lstm_states and bilstm_forward(cache=False), the kernels of callers
+    that never backpropagate: bitwise the states of the cached kernels on
+    the same batch, and no cache."""
+
+    @pytest.mark.parametrize("d, H, lengths", [
+        (4, 3, [3, 1, 6, 4, 6]),
+        (4, 3, [1, 1]),   # one step: only one of the two cell buffers is used
+        # the acceptance shape: a 4-way 1-shot 5-query episode with its
+        # source set, sentences of up to 12 tokens
+        (32, 16, [12] + [1 + (7 * b) % 12 for b in range(43)]),
+    ])
+    def test_lstm_states_equal_lstm_forward(self, d, H, lengths):
+        rng = np.random.default_rng(30)
+        p = LstmParams.init(d, H, rng)
+        E, rows = token_batch(rng, d, 25, lengths)
+        P = project_inputs(E, p)
+        want, _ = lstm_forward(P[rows], p)
+        assert np.array_equal(lstm_states(P, rows, p), want)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_bilstm_states_equal_cached_pass(self, split, monkeypatch):
+        rng = np.random.default_rng(31)
+        d, H = 16, 64
+        lengths = [20] + [int(m) for m in rng.integers(1, 21, size=49)]
+        assert 20 * 50 * H * H >= nn.SPLIT_MIN_WORK   # a batch the split takes
+        fwd, bwd = LstmParams.init(d, H, rng), LstmParams.init(d, H, rng)
+        E, rows = token_batch(rng, d, 300, lengths)
+        split_directions(monkeypatch, False)
+        want, cache = bilstm_forward(E, rows, lengths, fwd, bwd)
+        split_directions(monkeypatch, split)
+        got, none = bilstm_forward(E, rows, lengths, fwd, bwd, cache=False)
+        assert cache is not None and none is None
+        assert np.array_equal(got, want)
+
+
 def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(metadapt.__file__).resolve().parents[1]))
     code = ("import sys, metadapt; "
@@ -822,6 +866,27 @@ class TestAdam:
             adam_step(st_, np.zeros(2), np.zeros(3))
 
 
+    def test_blocks_match_per_param_oracle(self):
+        # three whole blocks and a ragged tail, Params straddling blocks
+        sizes = [nn.ADAM_BLOCK + 5, 2 * nn.ADAM_BLOCK - 17, 1000]
+        assert sum(sizes) > 3 * nn.ADAM_BLOCK and sum(sizes) % nn.ADAM_BLOCK
+        rng = np.random.default_rng(33)
+        init = [rng.normal(size=n) for n in sizes]
+        flat, ref = [Param(v) for v in init], [Param(v) for v in init]
+        values, grads = flatten(flat)
+        st_flat, st_ref = AdamState(lr=0.01), AdamState(lr=0.01)
+        for _ in range(4):
+            for a, b in zip(flat, ref):
+                g = rng.normal(size=a.value.shape)
+                a.grad += g
+                b.grad += g
+            adam_step(st_flat, values, grads)
+            oracles.adam_step_per_param(st_ref, ref)
+        assert np.array_equal(values, np.concatenate([p.value for p in ref]))
+        assert np.array_equal(st_flat.m, np.concatenate(st_ref.m))
+        assert np.array_equal(st_flat.v, np.concatenate(st_ref.v))
+
+
 class TestPurityAndStability:
     def test_forward_ops_bit_identical(self):
         rng = np.random.default_rng(18)
@@ -856,6 +921,18 @@ class TestCheckpointContainer:
         for name, a in arrays.items():
             assert loaded[name].shape == a.shape
             assert loaded[name].tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("config", [None, {"dim": 4, "disc_hidden": [3, 2],
+                                                "name": "caf\u00e9", "lam": 0.1}])
+    @pytest.mark.parametrize("names", [(), ("zero_d", "empty", "vec", "mat")])
+    def test_streamed_bytes_equal_one_dump(self, tmp_path, config, names):
+        rng = np.random.default_rng(34)
+        arrays = {"zero_d": np.array(-2.5e-300), "empty": np.zeros((0, 3)),
+                  "vec": rng.normal(size=7) * 1e13, "mat": rng.normal(size=(3, 4)) / 3}
+        arrays = {name: arrays[name] for name in names}
+        path = tmp_path / "ck.json"
+        save_arrays(path, arrays, config)
+        assert path.read_bytes() == oracles.checkpoint_json(arrays, config).encode("utf-8")
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "ck.json"

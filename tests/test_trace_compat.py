@@ -52,3 +52,7 @@ def test_traced_train_and_meta_test(tmp_path):
     # the per-layer LSTM figures see every kernel call
     assert figures["nn.lstm_forward.calls_per_episode"][0] == 2
     assert figures["nn.lstm_backward.calls_per_episode"][0] == 2
+    # evaluation runs the forward-only kernel, so a traced meta_test holds
+    # lstm_states spans and no cached forward pass
+    assert spans.grouped("nn.lstm_states", {"harness.meta_test"})
+    assert not spans.grouped("nn.lstm_forward", {"harness.meta_test"})
