@@ -19,7 +19,7 @@ import numpy as np
 from . import harness
 from .corpus import (DataError, Example, Vocab, load_embeddings,
                      load_jsonl_dataset, split_classes, tokenize)
-from .episodes import EpisodeSpec, min_source_pool, sample_episode
+from .episodes import EpisodeSpec, check_classes, sample_episode
 from .harness import TrainConfig
 from .model import ModelConfig
 from .nn import NumericalError
@@ -70,6 +70,7 @@ _CONFIG_DEFAULTS = {
     "no_adversarial": False, "concat_fusion": False,
     "disc_hidden1": 256, "disc_hidden2": 128,
 }
+_SPLIT_KEYS = ("n_train_classes", "n_val_classes", "n_test_classes")
 
 _BOOL_KEYS = {"no_adversarial", "concat_fusion"}
 _FLOAT_KEYS = {"lr", "lam"}
@@ -115,17 +116,17 @@ def _default_split_counts(n_classes: int) -> tuple[int, int, int]:
 def _cmd_train(args) -> int:
     raw = _parse_config_file(args.config) if args.config else {}
     cfg = _coerce_config(raw)
-    dataset = load_jsonl_dataset(args.data, label_field=args.label_field,
-                                 text_field=args.text_field, max_len=cfg["max_len"])
-    table = load_embeddings(args.embeddings, dataset.vocab)
-
-    n_classes = len(dataset.classes)
-    counts = (cfg["n_train_classes"], cfg["n_val_classes"], cfg["n_test_classes"])
-    if any(c is None for c in counts):
-        counts = _default_split_counts(n_classes)
-    split = split_classes(dataset.classes, counts, np.random.default_rng(cfg["seed"]))
-
-    try:  # the constructors check the values' ranges
+    try:  # the constructors and loaders check the values' ranges
+        missing = [k for k in _SPLIT_KEYS if cfg[k] is None]
+        if 0 < len(missing) < len(_SPLIT_KEYS):
+            raise ValueError(f"give all or none of {', '.join(_SPLIT_KEYS)}; "
+                             f"missing {', '.join(missing)}")
+        dataset = load_jsonl_dataset(args.data, label_field=args.label_field,
+                                     text_field=args.text_field, max_len=cfg["max_len"])
+        table = load_embeddings(args.embeddings, dataset.vocab)
+        counts = (_default_split_counts(len(dataset.classes)) if missing
+                  else tuple(cfg[k] for k in _SPLIT_KEYS))
+        split = split_classes(dataset.classes, counts, np.random.default_rng(cfg["seed"]))
         spec = EpisodeSpec(n_way=cfg["n_way"], k_shot=cfg["k_shot"], l_query=cfg["l_query"])
         train_cfg = TrainConfig(spec=spec, epochs=cfg["epochs"],
                                 episodes_per_epoch=cfg["episodes_per_epoch"],
@@ -138,22 +139,10 @@ def _cmd_train(args) -> int:
                                 disc_hidden=(cfg["disc_hidden1"], cfg["disc_hidden2"]))
     except ValueError as exc:
         raise DataError(f"config: {exc}") from None
-    # one throwaway draw from each split runs sample_episode's own checks on
-    # n_way, the examples per class and the source pool before any output
-    trial_rng = np.random.default_rng(0)
-    for name, classes, with_source in (("train", split.train_classes, True),
-                                       ("validation", split.val_classes, False)):
-        try:
-            sample_episode(dataset, classes, spec, trial_rng, with_source=with_source,
-                           source_excludes=train_cfg.source_excludes)
-        except ValueError as exc:
-            raise DataError(f"{name} split: {exc}") from None
-    # the trial's classes are one draw; the smallest pool is what every draw must serve
-    pool = min_source_pool(dataset, split.train_classes, spec, train_cfg.source_excludes)
-    need = spec.l_query * (spec.n_way if train_cfg.source_excludes == "all" else 1)
-    if pool < need:
-        raise DataError(f"train split: source pool can have as few as {pool} examples, "
-                        f"need {need}")
+    try:  # the shape every draw from each split must serve, before any output
+        harness.check_split(dataset, split, train_cfg)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,10 +200,8 @@ def _cmd_eval(args) -> int:
         test_classes = set(dataset.classes)
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    # EpisodeSpec checks the shape's ranges, and meta_test checks its
-    # arguments and samples every seed's episodes before it encodes any
-    # sentence, so a ValueError from either is a request the corpus cannot
-    # serve
+    # EpisodeSpec and meta_test check the request before any sentence is
+    # encoded, so a ValueError from either is one the corpus cannot serve
     try:
         spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
         report = harness.meta_test(gen, model_cfg, table, dataset, test_classes, spec,
@@ -280,6 +267,7 @@ def _cmd_sample_episodes(args) -> int:
         if args.n < 1:
             raise ValueError(f"--n must be >= 1, got {args.n}")
         spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot, l_query=args.l_query)
+        check_classes(dataset, dataset.classes, spec)
         rng = np.random.default_rng(args.seed)
         episodes = [sample_episode(dataset, dataset.classes, spec, rng)
                     for _ in range(args.n)]

@@ -137,8 +137,10 @@ def load_jsonl_dataset(path, label_field: str = "label", text_field: str = "text
     Labels are mapped to ids in first-appearance order; the vocabulary is
     built from the corpus in first-appearance order.  Sentences longer than
     ``max_len`` tokens are truncated; lines whose text tokenizes to nothing
-    are skipped with a warning.
+    are skipped with a warning.  A ``max_len`` below 1 raises ValueError.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:

@@ -67,19 +67,15 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
     classes outside the episode; ``source_excludes="current"`` instead
     excludes only the class being iterated per draw, so other episode
     classes may leak into the source set.  ``with_source=False`` skips the
-    source draw entirely (evaluation episodes never use it).
+    source draw entirely (evaluation episodes never use it).  Classes with
+    fewer than K+L examples are never drawn; ``check_classes`` reports them
+    once for a whole split.
     """
     if source_excludes not in ("all", "current"):
         raise ValueError(f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
     need = spec.k_shot + spec.l_query
     allowed = sorted(allowed_classes)
-    eligible = [c for c in allowed if len(dataset.class_index.get(c, ())) >= need]
-    if len(eligible) < len(allowed) and len(eligible) >= spec.n_way:
-        logger.warning("excluding %d class(es) with fewer than %d examples",
-                       len(allowed) - len(eligible), need)
-    if len(eligible) < spec.n_way:
-        raise ValueError(
-            f"need {spec.n_way} classes with >= {need} examples, have {len(eligible)}")
+    eligible = _eligible(dataset, allowed, spec)
 
     chosen = rng.choice(len(eligible), size=spec.n_way, replace=False)
     classes = sorted(eligible[i] for i in chosen)   # local label = position
@@ -117,18 +113,41 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
     )
 
 
-def min_source_pool(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
-                    source_excludes: str = "all") -> int:
-    """Examples in the smallest source pool any episode drawn from
-    ``allowed_classes`` can see.
+def _eligible(dataset: Dataset, classes, spec: EpisodeSpec) -> list:
+    """The classes, in the given order, that hold the K+L examples one draw
+    takes from each; ValueError if there are fewer than ``n_way``."""
+    need = spec.k_shot + spec.l_query
+    eligible = [c for c in classes if len(dataset.class_index.get(c, ())) >= need]
+    if len(eligible) < spec.n_way:
+        raise ValueError(
+            f"need {spec.n_way} classes with >= {need} examples, have {len(eligible)}")
+    return eligible
 
-    A draw's pool is every allowed example outside the classes it excludes,
-    and those are drawn from the classes with at least K+L examples.  So
-    the worst draw excludes the ``n_way`` largest of them under
-    ``source_excludes="all"``, and the single largest under ``"current"``.
+
+def check_classes(dataset: Dataset, classes, spec: EpisodeSpec,
+                  source_excludes: str = None) -> None:
+    """Refuse, once for a whole split, an episode shape that some draw from
+    ``classes`` could not serve (ValueError), and log once how many classes
+    hold fewer than K+L examples and so are never drawn.
+
+    Fewer than ``n_way`` eligible classes are refused.  With
+    ``source_excludes``, so is a worst draw whose source pool is short: it
+    excludes the ``n_way`` largest eligible classes and takes N*L examples
+    under ``"all"``, and the largest one and takes L under ``"current"``.
     """
-    if source_excludes not in ("all", "current"):
-        raise ValueError(f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
-    sizes = [len(dataset.class_index.get(c, ())) for c in allowed_classes]
-    eligible = sorted((n for n in sizes if n >= spec.k_shot + spec.l_query), reverse=True)
-    return sum(sizes) - sum(eligible[:spec.n_way if source_excludes == "all" else 1])
+    allowed = set(classes)
+    eligible = _eligible(dataset, allowed, spec)
+    if source_excludes is not None:
+        if source_excludes not in ("all", "current"):
+            raise ValueError(
+                f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
+        n_excluded = spec.n_way if source_excludes == "all" else 1
+        sizes = sorted((len(dataset.class_index[c]) for c in eligible), reverse=True)
+        pool = (sum(len(dataset.class_index.get(c, ())) for c in allowed)
+                - sum(sizes[:n_excluded]))
+        if pool < spec.l_query * n_excluded:
+            raise ValueError(f"source pool can have as few as {pool} examples, "
+                             f"need {spec.l_query * n_excluded}")
+    if len(eligible) < len(allowed):
+        logger.warning("excluding %d class(es) with fewer than %d examples",
+                       len(allowed) - len(eligible), spec.k_shot + spec.l_query)

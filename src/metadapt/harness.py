@@ -17,11 +17,13 @@ import numpy as np
 from . import model, nn
 from .corpus import (ClassSplit, DataError, Dataset, EmbeddingTable, Example, Vocab,
                      make_dataset)
-from .episodes import Episode, EpisodeSpec, sample_episode
+from .episodes import Episode, EpisodeSpec, check_classes, sample_episode
 from .model import DiscriminatorParams, EpisodeMetrics, GeneratorParams, ModelConfig
 from .nn import AdamState, NumericalError
 
 logger = logging.getLogger(__name__)
+
+CHECKPOINT_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -131,6 +133,17 @@ def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTa
             for sc, ep in zip(scores, episodes)]
 
 
+def check_split(dataset: Dataset, split: ClassSplit, cfg: TrainConfig):
+    """ValueError, naming the split, if some training draw (with its source
+    set) or validation draw could not be served; see ``check_classes``."""
+    for name, classes, excludes in (("train", split.train_classes, cfg.source_excludes),
+                                    ("validation", split.val_classes, None)):
+        try:
+            check_classes(dataset, classes, cfg.spec, excludes)
+        except ValueError as exc:
+            raise ValueError(f"{name} split: {exc}") from None
+
+
 def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: ModelConfig,
           table: EmbeddingTable, out_dir=None, clock=time.perf_counter) -> TrainResult:
     """Episode-based meta-training with validation early stopping.
@@ -144,8 +157,11 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
 
     A non-finite loss, or a NumericalError raised inside an episode update,
     aborts with a diagnostic checkpoint rather than being skipped.  ``clock``
-    supplies wall-time stamps for the metrics records.
+    supplies wall-time stamps for the metrics records.  A split whose
+    classes cannot serve ``cfg.spec`` is refused before any output
+    (``check_split``).
     """
+    check_split(dataset, split, cfg)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -270,6 +286,7 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
         raise ValueError("at least one seed is required")
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    check_classes(dataset, test_classes, spec)
     episodes = [ep for seed in seeds
                 for ep in sample_eval_episodes(dataset, test_classes, spec, n_episodes,
                                                np.random.default_rng(seed))]
@@ -461,20 +478,45 @@ def run_gradient_checks(seed: int = 0, n_coords: int = 200) -> dict[str, float]:
 
 def save_checkpoint(path, gen: GeneratorParams, disc: DiscriminatorParams,
                     model_cfg: ModelConfig):
-    """Write generator + discriminator + config as a named-array container."""
-    nn.save_arrays(path, {**gen.named_arrays(), **disc.named_arrays()},
-                   config=dataclasses.asdict(model_cfg))
+    """Write generator + discriminator + config as one JSON container,
+    ``{"format_version", "arrays": {name: {"shape", "data"}}, "config"}``.
+    Floats are shortest round-trip decimals, so a load is bit-exact.  Each
+    array is encoded on its own by ``json.dumps`` (the C encoder), in the
+    bytes one ``json.dumps`` of the whole payload gives."""
+    params = {**gen.named_params(), **disc.named_params()}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "arrays": {{')
+        for n, (name, p) in enumerate(params.items()):
+            fh.write(f"{', ' if n else ''}{json.dumps(name)}: ")
+            fh.write(json.dumps({"shape": list(p.value.shape),
+                                 "data": p.value.ravel().tolist()}))
+        fh.write('}, "config": ' + json.dumps(dataclasses.asdict(model_cfg)) + "}")
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (gen, disc, model_cfg).
-
-    The parameters are built for the stored config; arrays with other names
-    or shapes, or a non-finite weight, raise DataError.
-    """
-    arrays, config = nn.load_arrays(path)
+    """Read a checkpoint; returns (gen, disc, model_cfg), the parameters
+    built for the stored config.  Every fault in the container, its arrays
+    or its config raises DataError naming the file."""
     try:
-        model_cfg = ModelConfig.from_dict(config)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open checkpoint {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid checkpoint JSON: {exc.msg}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("arrays", {}), dict):
+        raise DataError(f"{path}: checkpoint is not a named-array container")
+    version = payload.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint format version {version!r}")
+    arrays = payload.get("arrays", {})
+    for name, spec in arrays.items():   # each list becomes an array in place
+        try:
+            arrays[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed array {name}: {exc!r}") from None
+    try:
+        model_cfg = ModelConfig.from_dict(payload.get("config") or {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad model config: {exc!r}") from None
     rng = np.random.default_rng(0)

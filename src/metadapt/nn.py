@@ -19,17 +19,12 @@ two directions on two threads when BLAS runs one thread per call
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .corpus import DataError
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 class NumericalError(Exception):
@@ -566,50 +561,3 @@ def grad_check(loss_fn, values: np.ndarray, grads: np.ndarray, eps: float = 1e-5
         worst = max(worst, err)
     grads.fill(0.0)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# named-array checkpoint container
-
-
-def save_arrays(path, arrays: dict, config: dict = None):
-    """Write named float arrays plus an optional config dict as JSON.
-
-    Floats are serialized with shortest round-trip decimals, so a load
-    reproduces every value bit-exactly.  The container is written one
-    array at a time, in the bytes one ``json.dump`` of the whole payload
-    gives, so only one array is held as Python floats at once.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "arrays": {{')
-        for n, (name, a) in enumerate(arrays.items()):
-            a = np.asarray(a, dtype=np.float64)
-            fh.write(f"{', ' if n else ''}{json.dumps(name)}: ")
-            json.dump({"shape": list(a.shape), "data": a.ravel().tolist()}, fh)
-        fh.write("}}" if config is None else '}, "config": ' + json.dumps(config) + "}")
-
-
-def load_arrays(path):
-    """Read a named-array container; returns (arrays, config).
-
-    Malformed content raises DataError naming the file and the array.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open checkpoint {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid checkpoint JSON: {exc.msg}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("arrays", {}), dict):
-        raise DataError(f"{path}: checkpoint is not a named-array container")
-    version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint format version {version!r}")
-    arrays = {}
-    for name, spec in payload.get("arrays", {}).items():
-        try:
-            arrays[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed array {name}: {exc!r}") from None
-    return arrays, payload.get("config") or {}

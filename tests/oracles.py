@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit, logsumexp
 
-from metadapt import nn
+from metadapt import harness, nn
 from metadapt.corpus import embed_sentence
 from metadapt.episodes import Episode
 from metadapt.model import RidgeClassifier, ridge_predict, with_bias
@@ -313,21 +313,19 @@ def adam_step_per_param(state, params):
         p.grad.fill(0.0)
 
 
-def checkpoint_json(arrays: dict, config: dict = None) -> str:
-    """The text ``nn.save_arrays`` writes: one ``json.dumps`` of the whole
-    payload, every array a list of Python floats, as the container was
+def checkpoint_json(arrays: dict, config: dict) -> str:
+    """The text ``harness.save_checkpoint`` writes: one ``json.dumps`` of the
+    whole payload, every array a list of Python floats, as the container was
     written before it was streamed one array at a time."""
-    payload = {
-        "format_version": nn.CHECKPOINT_FORMAT_VERSION,
+    return json.dumps({
+        "format_version": harness.CHECKPOINT_FORMAT_VERSION,
         "arrays": {
             name: {"shape": list(np.asarray(a).shape),
                    "data": np.asarray(a, dtype=np.float64).ravel().tolist()}
             for name, a in arrays.items()
         },
-    }
-    if config is not None:
-        payload["config"] = config
-    return json.dumps(payload)
+        "config": config,
+    })
 
 
 def ffn_forward(x, layers) -> np.ndarray:

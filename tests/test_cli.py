@@ -164,8 +164,16 @@ class TestExitCodes:
         ("lr=inf", "lr must be finite and > 0, got inf"),
         ("lr=0", "lr must be finite and > 0, got 0.0"),
         ("lr=-1", "lr must be finite and > 0, got -1.0"),
+        ("max_len=0", "max_len must be >= 1, got 0"),
+        ("n_train_classes=20\nn_val_classes=1\nn_test_classes=2",
+         "split counts (20, 1, 2) exceed 8 available classes"),
+        ("n_train_classes=-1\nn_val_classes=1\nn_test_classes=2",
+         "split counts must be non-negative"),
+        ("n_train_classes=2", "give all or none of n_train_classes, n_val_classes, "
+                              "n_test_classes; missing n_val_classes, n_test_classes"),
     ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way", "disc_hidden1",
-            "nan_lr", "inf_lr", "zero_lr", "negative_lr"])
+            "nan_lr", "inf_lr", "zero_lr", "negative_lr", "max_len", "excess_split",
+            "negative_split", "partial_split"])
     def test_data_error_out_of_range_config(self, line, shown, synth_dir, tmp_path,
                                             capsys):
         config = tmp_path / "c.txt"
@@ -181,7 +189,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("counts, n_way, shown", [
         ((2, 3, 3), 3, "train split: need 3 classes with >= 3 examples, have 2"),
         ((6, 1, 1), 2, "validation split: need 2 classes with >= 3 examples, have 1"),
-        ((4, 2, 2), 4, "train split: source pool has 0 examples, need 8"),
+        ((4, 2, 2), 4, "train split: source pool can have as few as 0 examples, need 8"),
     ], ids=["train", "validation", "source_pool"])
     def test_data_error_n_way_split_cannot_serve(self, counts, n_way, shown, synth_dir,
                                                  tmp_path, capsys):
@@ -200,7 +208,7 @@ class TestExitCodes:
     def test_data_error_uneven_source_pool(self, seed, tmp_path, capsys):
         # train classes of 3, 3 and 10 examples with n_way=2, l_query=2: a
         # draw of the 10-example class leaves a source pool of 3 for the 4
-        # examples it needs, whichever draw the pre-flight trial makes
+        # examples it needs, whichever train classes the seed's split holds
         split = split_classes(range(6), (3, 2, 1), np.random.default_rng(seed))
         sizes = dict.fromkeys(range(6), 10)
         sizes.update(zip(sorted(split.train_classes), np.roll([3, 3, 10], seed)))

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from metadapt.corpus import make_dataset, Vocab
-from metadapt.episodes import Episode, EpisodeSpec, relabel, sample_episode
+from metadapt.episodes import (Episode, EpisodeSpec, check_classes, relabel,
+                               sample_episode)
 from metadapt.harness import gen_synthetic_corpus
 import oracles
 
@@ -16,6 +19,13 @@ def toy_dataset(n_classes=6, per_class=8, tokens=5):
             ids = tuple(int(i) for i in rng.integers(0, 10, size=tokens))
             parsed.append((ids, c))
     return make_dataset(parsed, [f"c{i}" for i in range(n_classes)], vocab)
+
+
+def sized_dataset(sizes):
+    """Class c holds sizes[c] one-token examples."""
+    parsed = [((0,), c) for c, n in enumerate(sizes) for _ in range(n)]
+    return make_dataset(parsed, [f"c{c}" for c in range(len(sizes))],
+                        Vocab.from_tokens(["t0"]))
 
 
 class TestEpisodeSpec:
@@ -148,18 +158,18 @@ class TestSampleEpisode:
     def test_small_classes_excluded_with_warning(self, caplog):
         ds = toy_dataset(n_classes=5, per_class=3)
         spec = EpisodeSpec(n_way=2, k_shot=2, l_query=2)  # needs 4 per class
-        vocab = ds.vocab
         # add two big classes so sampling can proceed
         parsed = [(ex.token_ids, ex.label) for ex in ds.examples]
-        for c in (5, 6):
-            for _ in range(6):
-                parsed.append(((0, 1, 2), c))
-        from metadapt.corpus import make_dataset
-        ds2 = make_dataset(parsed, [f"c{i}" for i in range(7)], vocab)
+        parsed += [((0, 1, 2), c) for c in (5, 6) for _ in range(6)]
+        ds2 = make_dataset(parsed, [f"c{i}" for i in range(7)], ds.vocab)
+        rng = np.random.default_rng(0)
         with caplog.at_level("WARNING"):
-            ep = sample_episode(ds2, ds2.classes, spec, np.random.default_rng(0))
-        assert set(ep.episode_classes) <= {5, 6}
-        assert any("excluding" in r.message for r in caplog.records)
+            check_classes(ds2, ds2.classes, spec)
+            episodes = [sample_episode(ds2, ds2.classes, spec, rng) for _ in range(20)]
+        assert all(set(ep.episode_classes) <= {5, 6} for ep in episodes)
+        # reported once for the split; the draws themselves log nothing
+        assert [r.getMessage() for r in caplog.records] == [
+            "excluding 5 class(es) with fewer than 4 examples"]
 
     def test_insufficient_source_pool(self):
         ds = toy_dataset(n_classes=4, per_class=3)
@@ -183,3 +193,48 @@ class TestSampleEpisode:
                 counts[c] += 1
         for c in allowed:
             assert abs(counts[c] / n - 0.625) < 0.02
+
+
+class TestCheckClasses:
+    def test_too_few_eligible_classes(self):
+        ds = sized_dataset([3, 2, 5, 1])
+        with pytest.raises(ValueError, match="need 3 classes with >= 3 examples, have 2"):
+            check_classes(ds, ds.classes, EpisodeSpec(n_way=3, k_shot=1, l_query=2))
+
+    def test_smallest_pool_refused(self):
+        # classes of 3, 3 and 10: a draw of the 10-example class leaves 3 of
+        # the 4 source examples it takes; excluding only the current class
+        # leaves at least 6 for the 2 each draw takes
+        ds = sized_dataset([3, 3, 10])
+        spec = EpisodeSpec(n_way=2, k_shot=1, l_query=2)
+        with pytest.raises(ValueError, match="source pool can have as few as 3 examples, need 4"):
+            check_classes(ds, ds.classes, spec, "all")
+        check_classes(ds, ds.classes, spec, "current")
+        check_classes(ds, ds.classes, spec)   # no source set: the pool is not checked
+        with pytest.raises(ValueError, match="source_excludes"):
+            check_classes(ds, ds.classes, spec, "none")
+
+    def test_matches_every_draw(self):
+        # refused exactly when some choice of episode classes leaves a pool
+        # smaller than its draw; found by enumerating every choice
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            sizes = rng.integers(1, 9, size=int(rng.integers(3, 7))).tolist()
+            spec = EpisodeSpec(n_way=int(rng.integers(2, 4)), k_shot=1,
+                               l_query=int(rng.integers(1, 4)))
+            ds = sized_dataset(sizes)
+            eligible = [n for n in sizes if n >= spec.k_shot + spec.l_query]
+            if len(eligible) < spec.n_way:
+                continue
+            for excludes in ("all", "current"):
+                if excludes == "all":
+                    short = any(sum(sizes) - sum(chosen) < spec.n_way * spec.l_query
+                                for chosen in itertools.combinations(eligible, spec.n_way))
+                else:
+                    short = any(sum(sizes) - n < spec.l_query for n in eligible)
+                try:
+                    check_classes(ds, ds.classes, spec, excludes)
+                    refused = False
+                except ValueError:
+                    refused = True
+                assert refused == short, (sizes, spec, excludes)

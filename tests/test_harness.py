@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import math
 import weakref
@@ -8,7 +9,8 @@ import pytest
 
 import oracles
 from metadapt import model, nn
-from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
+from metadapt.corpus import (DataError, load_embeddings, load_jsonl_dataset, make_dataset,
+                             split_classes)
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt import harness
 from metadapt.harness import (TrainConfig, dump_attention,
@@ -103,6 +105,14 @@ class TestTrain:
         assert len(res.history) == 4
         with open(tmp_path / "metrics.jsonl") as fh:
             assert sum(1 for _ in fh) == 4
+
+    def test_unservable_split_refused_before_output(self, tmp_path):
+        ds, table, vocab, split, spec, mcfg = small_setup()   # 2 validation classes
+        cfg = TrainConfig(spec=EpisodeSpec(n_way=3, k_shot=1, l_query=2), epochs=1,
+                          episodes_per_epoch=1, val_episodes=1)
+        with pytest.raises(ValueError, match="validation split: need 3 classes"):
+            train(ds, split, cfg, mcfg, table, out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_history_bookkeeping(self):
         ds, table, vocab, split, spec, mcfg = small_setup()
@@ -232,6 +242,20 @@ class TestMetaTest:
                   n_episodes=5, seeds=(0, 1))
         assert params_digest(gen.params()) == g0
 
+    def test_small_class_reported_once(self, caplog):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        # class 8 holds 2 examples, one fewer than a 1-shot 2-query draw takes
+        parsed = [(ex.token_ids, ex.label) for ex in ds.examples]
+        parsed += [(ds.examples[0].token_ids, 8)] * 2
+        ds = make_dataset(parsed, list(ds.label_names) + ["small"], vocab)
+        gen = GeneratorParams.init(mcfg, np.random.default_rng(2))
+        with caplog.at_level("WARNING"):
+            rep = meta_test(gen, mcfg, table, ds, split.test_classes | {8}, spec,
+                            n_episodes=400, seeds=(0,))
+        assert len(rep.per_episode) == 400
+        assert [r.getMessage() for r in caplog.records if "excluding" in r.getMessage()] == [
+            "excluding 1 class(es) with fewer than 3 examples"]
+
     def test_disjointness_asserted(self):
         ds, table, vocab, split, spec, mcfg = small_setup()
         gen = GeneratorParams.init(mcfg, np.random.default_rng(2))
@@ -342,6 +366,59 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.json", gen, disc, mcfg)
         save_checkpoint(tmp_path / "b.json", *load_checkpoint(tmp_path / "a.json"))
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestCheckpointContainer:
+    def test_round_trip_bit_exact(self, tmp_path):
+        mcfg = variant_cfg("default")
+        rng = np.random.default_rng(19)
+        gen = GeneratorParams.init(mcfg, rng)
+        disc = DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden, rng)
+        gen.values[...] = rng.normal(size=gen.values.size) * 1e-13
+        disc.values[...] = rng.normal(size=disc.values.size) * 1e13
+        disc.values[:3] = (math.pi, -0.1, 1 / 3)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, gen, disc, mcfg)
+        gen2, disc2, cfg2 = load_checkpoint(path)
+        assert cfg2 == mcfg
+        assert gen2.values.tobytes() == gen.values.tobytes()
+        assert disc2.values.tobytes() == disc.values.tobytes()
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_streamed_bytes_equal_one_dump(self, variant, tmp_path):
+        mcfg = variant_cfg(variant)
+        rng = np.random.default_rng(34)
+        gen = GeneratorParams.init(mcfg, rng)
+        disc = DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden, rng)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, gen, disc, mcfg)
+        want = oracles.checkpoint_json({**gen.named_arrays(), **disc.named_arrays()},
+                                       dataclasses.asdict(mcfg))
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_version_checked(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text('{"format_version": 99, "arrays": {}}')
+        with pytest.raises(DataError, match="unsupported checkpoint format version 99"):
+            load_checkpoint(path)
+
+    def test_malformed_container(self, tmp_path):
+        path = tmp_path / "ck.json"
+        for text, match in (("[]", "container"),
+                            ('{"format_version": 1, "arrays": []}', "container"),
+                            ('{"format_version": 1, "arrays": {"a": {"shape": [2]}}}',
+                             "malformed array a"),
+                            ('{"format_version": 1, "arrays": {"a": {"shape": [2], '
+                             '"data": [1.0, 2.0, 3.0]}}}', "malformed array a")):
+            path.write_text(text)
+            with pytest.raises(DataError, match=match):
+                load_checkpoint(path)
+
+    def test_corrupt_json(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text("{nope")
+        with pytest.raises(DataError, match="invalid checkpoint JSON"):
+            load_checkpoint(path)
 
 
 class TestEvaluateEpisodes:

@@ -16,9 +16,8 @@ from metadapt import nn
 from metadapt.nn import (AdamState, LstmParams, NumericalError, Param,
                          adam_step, bilstm_backward, bilstm_forward,
                          ffn_backward, ffn_forward_cached, flatten,
-                         grad_check, load_arrays, lstm_backward, lstm_forward,
-                         lstm_states, one_hot, project_inputs, reverse_index, save_arrays,
-                         softmax, softmax_cross_entropy)
+                         grad_check, lstm_backward, lstm_forward, lstm_states, one_hot,
+                         project_inputs, reverse_index, softmax, softmax_cross_entropy)
 import oracles
 from oracles import cross_entropy, ffn_forward, lstm_cell
 
@@ -629,6 +628,12 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_holds_numerics_only():
+    # the checkpoint container, its version and its errors live in harness
+    assert not {"json", "DataError", "save_arrays", "load_arrays",
+                "CHECKPOINT_FORMAT_VERSION"} & vars(nn).keys()
+
+
 class TestBackwardPasses:
     def test_lstm_backward_grad_check(self):
         # a ragged batch: the loss reads no padded step
@@ -904,60 +909,6 @@ class TestPurityAndStability:
         assert np.isfinite(softmax(v)).all()
         assert math.isfinite(ce(v, 0))
         assert math.isfinite(ce(v, 2))
-
-
-class TestCheckpointContainer:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(19)
-        arrays = {
-            "a": rng.normal(size=(3, 4)) * 1e-13,
-            "b": rng.normal(size=7) * 1e13,
-            "c": np.array([[math.pi], [-0.1], [1 / 3]]),
-        }
-        path = tmp_path / "ck.json"
-        save_arrays(path, arrays, config={"dim": 4})
-        loaded, config = load_arrays(path)
-        assert config == {"dim": 4}
-        for name, a in arrays.items():
-            assert loaded[name].shape == a.shape
-            assert loaded[name].tobytes() == a.tobytes()
-
-    @pytest.mark.parametrize("config", [None, {"dim": 4, "disc_hidden": [3, 2],
-                                                "name": "caf\u00e9", "lam": 0.1}])
-    @pytest.mark.parametrize("names", [(), ("zero_d", "empty", "vec", "mat")])
-    def test_streamed_bytes_equal_one_dump(self, tmp_path, config, names):
-        rng = np.random.default_rng(34)
-        arrays = {"zero_d": np.array(-2.5e-300), "empty": np.zeros((0, 3)),
-                  "vec": rng.normal(size=7) * 1e13, "mat": rng.normal(size=(3, 4)) / 3}
-        arrays = {name: arrays[name] for name in names}
-        path = tmp_path / "ck.json"
-        save_arrays(path, arrays, config)
-        assert path.read_bytes() == oracles.checkpoint_json(arrays, config).encode("utf-8")
-
-    def test_version_checked(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text('{"format_version": 99, "arrays": {}}')
-        from metadapt.corpus import DataError
-        with pytest.raises(DataError, match="version"):
-            load_arrays(path)
-
-    def test_malformed_container(self, tmp_path):
-        from metadapt.corpus import DataError
-        path = tmp_path / "ck.json"
-        for text, match in (("[]", "container"),
-                            ('{"format_version": 1, "arrays": {"a": {"shape": [2]}}}', "array a"),
-                            ('{"format_version": 1, "arrays": {"a": {"shape": [2], '
-                             '"data": [1.0, 2.0, 3.0]}}}', "array a")):
-            path.write_text(text)
-            with pytest.raises(DataError, match=match):
-                load_arrays(path)
-
-    def test_corrupt_json(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text("{nope")
-        from metadapt.corpus import DataError
-        with pytest.raises(DataError):
-            load_arrays(path)
 
 
 class TestOneHot:
