@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .corpus import (DataError, Example, Vocab, load_embeddings,
-                     load_jsonl_dataset, split_classes, tokenize)
+from .corpus import (DataError, Example, Vocab, load_embeddings, load_jsonl_dataset,
+                     split_classes, tokenize, write_corpus_files)
 from .episodes import EpisodeSpec, check_classes, sample_episode
 from .harness import TrainConfig
 from .model import ModelConfig
@@ -139,19 +139,9 @@ def _cmd_train(args) -> int:
                                 disc_hidden=(cfg["disc_hidden1"], cfg["disc_hidden2"]))
     except ValueError as exc:
         raise DataError(f"config: {exc}") from None
-    try:  # the shape every draw from each split must serve, before any output
-        harness.check_split(dataset, split, train_cfg)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
 
+    # a split that cannot serve the episode shape is a SplitError, a DataError
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "split.json", "w", encoding="utf-8") as fh:
-        json.dump({"train_classes": sorted(split.train_classes),
-                   "val_classes": sorted(split.val_classes),
-                   "test_classes": sorted(split.test_classes),
-                   "label_names": list(dataset.label_names)}, fh, indent=2)
-
     result = harness.train(dataset, split, train_cfg, model_cfg, table, out_dir=out)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "best_val_accuracy": result.best_val_accuracy,
@@ -218,7 +208,7 @@ def _cmd_synth(args) -> int:
         n_classes=args.n_classes, examples_per_class=args.examples_per_class,
         sentence_len=args.sentence_len, keywords_per_class=args.keywords_per_class,
         vocab_noise_size=args.noise_vocab, d=args.dim, seed=args.seed)
-    corpus_path, vec_path = harness.write_corpus_files(dataset, table, args.out)
+    corpus_path, vec_path = write_corpus_files(dataset, table, args.out)
     keywords = {dataset.label_names[c]: sorted(vocab.tokens[i] for i in ids)
                 for c, ids in harness.keyword_token_ids(vocab).items()}
     kw_path = Path(args.out) / "keywords.json"

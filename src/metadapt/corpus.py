@@ -13,6 +13,7 @@ import logging
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -252,6 +253,25 @@ def load_embeddings(path, vocab: Vocab) -> EmbeddingTable:
         logger.warning("%s: %d of %d vocab tokens missing from embedding file (zero rows)",
                        path, oov, len(vocab))
     return EmbeddingTable(matrix=matrix, dim=dim, oov_count=oov)
+
+
+def write_corpus_files(dataset: Dataset, table: EmbeddingTable, out_dir,
+                       text_field: str = "text", label_field: str = "label"):
+    """Write a dataset as corpus.jsonl + embeddings.vec, the formats
+    load_jsonl_dataset and load_embeddings read."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for ex in dataset.examples:
+            text = " ".join(dataset.vocab.tokens[i] for i in ex.token_ids)
+            fh.write(json.dumps({text_field: text,
+                                 label_field: dataset.label_names[ex.label]}) + "\n")
+    with open(out / "embeddings.vec", "w", encoding="utf-8") as fh:
+        fh.write(f"{len(dataset.vocab)} {table.dim}\n")
+        for i, tok in enumerate(dataset.vocab.tokens):
+            vals = " ".join(f"{v:.17g}" for v in table.matrix[i])
+            fh.write(f"{tok} {vals}\n")
+    return out / "corpus.jsonl", out / "embeddings.vec"
 
 
 def split_classes(classes, counts: tuple[int, int, int], rng: np.random.Generator) -> ClassSplit:

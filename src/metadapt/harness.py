@@ -133,15 +133,8 @@ def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTa
             for sc, ep in zip(scores, episodes)]
 
 
-def check_split(dataset: Dataset, split: ClassSplit, cfg: TrainConfig):
-    """ValueError, naming the split, if some training draw (with its source
-    set) or validation draw could not be served; see ``check_classes``."""
-    for name, classes, excludes in (("train", split.train_classes, cfg.source_excludes),
-                                    ("validation", split.val_classes, None)):
-        try:
-            check_classes(dataset, classes, cfg.spec, excludes)
-        except ValueError as exc:
-            raise ValueError(f"{name} split: {exc}") from None
+class SplitError(DataError, ValueError):
+    """A split whose classes cannot serve the episode shape."""
 
 
 def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: ModelConfig,
@@ -157,14 +150,23 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
 
     A non-finite loss, or a NumericalError raised inside an episode update,
     aborts with a diagnostic checkpoint rather than being skipped.  ``clock``
-    supplies wall-time stamps for the metrics records.  A split whose
-    classes cannot serve ``cfg.spec`` is refused before any output
-    (``check_split``).
+    supplies wall-time stamps for the metrics records.  A split from which
+    some training draw (with its source set) or validation draw could not
+    be served is refused before any output (SplitError; see
+    ``check_classes``); ``out_dir`` then gets ``split.json`` first.
     """
-    check_split(dataset, split, cfg)
+    for name, classes, excludes in (("train", split.train_classes, cfg.source_excludes),
+                                    ("validation", split.val_classes, None)):
+        try:
+            check_classes(dataset, classes, cfg.spec, excludes)
+        except ValueError as exc:
+            raise SplitError(f"{name} split: {exc}") from None
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        with open(out / "split.json", "w", encoding="utf-8") as fh:
+            json.dump({**{k: sorted(v) for k, v in dataclasses.asdict(split).items()},
+                       "label_names": list(dataset.label_names)}, fh, indent=2)
 
     ss = np.random.SeedSequence(cfg.seed)
     s_init, s_train, s_val = ss.spawn(3)
@@ -358,24 +360,6 @@ def keyword_token_ids(vocab: Vocab) -> dict[int, frozenset[int]]:
             if head.isdigit():
                 out.setdefault(int(head), set()).add(i)
     return {c: frozenset(ids) for c, ids in out.items()}
-
-
-def write_corpus_files(dataset: Dataset, table: EmbeddingTable, out_dir,
-                       text_field: str = "text", label_field: str = "label"):
-    """Write a dataset as corpus.jsonl + embeddings.vec in the standard formats."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            text = " ".join(dataset.vocab.tokens[i] for i in ex.token_ids)
-            fh.write(json.dumps({text_field: text,
-                                 label_field: dataset.label_names[ex.label]}) + "\n")
-    with open(out / "embeddings.vec", "w", encoding="utf-8") as fh:
-        fh.write(f"{len(dataset.vocab)} {table.dim}\n")
-        for i, tok in enumerate(dataset.vocab.tokens):
-            vals = " ".join(f"{v:.17g}" for v in table.matrix[i])
-            fh.write(f"{tok} {vals}\n")
-    return out / "corpus.jsonl", out / "embeddings.vec"
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(dim=int(d["dim"]), hidden=int(d["hidden"]), lam=float(d["lam"]),
-                   no_adversarial=bool(d["no_adversarial"]),
-                   concat_fusion=bool(d["concat_fusion"]), max_len=int(d["max_len"]),
-                   disc_hidden=tuple(int(h) for h in d["disc_hidden"]))
+        """A config read back from the JSON ``save_checkpoint`` writes.  A
+        value of another JSON type than its field is written as (an integer
+        for dim, hidden and max_len, true or false for the flags, a number
+        for lam, a list of integers for disc_hidden; a bool is no number)
+        raises TypeError naming the key."""
+        types = {"dim": (int,), "hidden": (int,), "lam": (int, float), "max_len": (int,),
+                 "no_adversarial": (bool,), "concat_fusion": (bool,), "disc_hidden": (list,)}
+        for key, allowed in types.items():
+            if type(d[key]) not in allowed or (
+                    key == "disc_hidden" and {type(h) for h in d[key]} - {int}):
+                raise TypeError(f"{key} has a value of the wrong type: {d[key]!r}")
+        return cls(**{**{k: d[k] for k in types}, "disc_hidden": tuple(d["disc_hidden"])})
 
 
 class _ParamSet:
@@ -128,23 +136,20 @@ class GeneratorParams(_ParamSet):
 
 @dataclass
 class DiscriminatorParams(_ParamSet):
-    """Three affine layers (input -> h1 -> h2 -> 2) with ReLU hidden activations."""
+    """Three affine layers (input -> h1 -> h2 -> 2) with a ReLU after each
+    hidden layer (``nn.ffn_forward_cached``)."""
 
-    layers: list  # [(w: Param, b: Param, activation), ...]
+    layers: list  # [(w: Param, b: Param), ...]
 
     @classmethod
     def init(cls, input_dim: int, hidden: tuple[int, int],
              rng: np.random.Generator) -> "DiscriminatorParams":
-        h1, h2 = hidden
-        sizes = [(h1, input_dim, "relu"), (h2, h1, "relu"), (2, h2, "linear")]
-        layers = []
-        for out_d, in_d, act in sizes:
-            layers.append((Param(nn.uniform_init((out_d, in_d), in_d, rng)),
-                           Param(np.zeros(out_d)), act))
-        return cls(layers=layers)
+        sizes = (input_dim, *hidden, 2)
+        return cls(layers=[(Param(nn.uniform_init((out_d, in_d), in_d, rng)),
+                            Param(np.zeros(out_d))) for in_d, out_d in zip(sizes, sizes[1:])])
 
     def named_params(self) -> dict[str, Param]:
-        return {f"disc.layer{i}.{name}": p for i, (w, b, _) in enumerate(self.layers, start=1)
+        return {f"disc.layer{i}.{name}": p for i, (w, b) in enumerate(self.layers, start=1)
                 for name, p in (("w", w), ("b", b))}
 
 
@@ -332,11 +337,11 @@ def domain_loss(x: np.ndarray, labels, disc: DiscriminatorParams):
     """Cross-entropy of the discriminator's domain predictions on embeddings
     ``x`` (n, d), query rows labelled 0 and source rows 1, averaged over rows.
 
-    Returns (loss, d loss / d logits, ffn cache for ``nn.ffn_backward``).
+    Returns (loss, d loss / d logits, the acts ``nn.ffn_backward`` takes).
     """
-    logits, cache = nn.ffn_forward_cached(x, disc.layers)
+    logits, acts = nn.ffn_forward_cached(x, disc.layers)
     loss, dlogits = nn.softmax_cross_entropy(logits, labels)
-    return loss, dlogits, cache
+    return loss, dlogits, acts
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +423,8 @@ def discriminator_loss_and_grads(fwd: EpisodeForward, disc: DiscriminatorParams)
     """Domain loss over the episode's query+source embeddings, with analytic
     gradients accumulated into the discriminator (generator held fixed)."""
     disc.grads.fill(0.0)
-    loss, dlogits, cache = domain_loss(*_domain_batch(fwd), disc)
-    nn.ffn_backward(dlogits, cache, disc.layers)
+    loss, dlogits, acts = domain_loss(*_domain_batch(fwd), disc)
+    nn.ffn_backward(dlogits, acts, disc.layers)
     return loss
 
 
@@ -444,10 +449,10 @@ def generator_loss_and_grads(fwd: EpisodeForward, clf: RidgeClassifier,
     dfeats = np.zeros_like(fwd.feats)
     dfeats[ns:ns + nq] = dscores @ clf.theta[:-1].T
     if not cfg.no_adversarial:
-        l_d, dlogits, cache = domain_loss(*_domain_batch(fwd), disc)
+        l_d, dlogits, acts = domain_loss(*_domain_batch(fwd), disc)
         loss -= l_d
         # minus sign: the generator maximizes the discriminator's loss
-        dfeats[ns:] += nn.ffn_backward(-dlogits, cache, disc.layers, update_grads=False)
+        dfeats[ns:] += nn.ffn_backward(-dlogits, acts, disc.layers, update_grads=False)
     gen_backward(dfeats, fwd.cache, gen, cfg)
     return loss, acc
 

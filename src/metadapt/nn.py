@@ -422,54 +422,36 @@ def _run_directions(forward, backward, split: bool):
 # feed-forward layers
 
 
-def _activation(name: str):
-    if name == "linear":
-        return (lambda z: z), (lambda z, a: np.ones_like(z))
-    if name == "relu":
-        return (lambda z: np.maximum(z, 0.0)), (lambda z, a: (z > 0).astype(np.float64))
-    raise ValueError(f"unknown activation {name!r}")
-
-
 def ffn_forward_cached(x, layers):
-    """Sequential affine + activation layers, with the cache ffn_backward needs.
+    """The discriminator's network: affine layers with a ReLU after every
+    layer but the last, with the cache ffn_backward needs.
 
-    ``layers`` is a list of ``(w: Param (out,in), b: Param (out,), activation)``.
-    ``x`` may be a single vector (n,) or a batch (rows, n).  Returns
-    (output, cache).
+    ``layers`` is a list of ``(w: Param (out, in), b: Param (out,))``.
+    Returns (output, acts): acts holds each layer's input, then the output.
     """
-    x = np.asarray(x, dtype=np.float64)
-    pre = []
-    acts = [x]
-    for w, b, name in layers:
-        f, _ = _activation(name)
-        z = x @ w.value.T + b.value
-        x = f(z)
-        pre.append(z)
-        acts.append(x)
-    return x, (pre, acts)
+    acts = [np.asarray(x, dtype=np.float64)]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.value.T + b.value
+        acts.append(np.maximum(z, 0.0) if i < len(layers) - 1 else z)
+    return acts[-1], acts
 
 
-def ffn_backward(dout, cache, layers, update_grads: bool = True) -> np.ndarray:
-    """Backprop through ffn_forward_cached; returns gradient w.r.t. the input.
+def ffn_backward(dout, acts, layers, update_grads: bool = True) -> np.ndarray:
+    """Backprop a (rows, out) gradient through ffn_forward_cached; returns
+    the gradient w.r.t. the input.
 
     With ``update_grads=False`` only the input gradient is computed and the
     layer params are left untouched (used when the network is held fixed).
     """
-    pre, acts = cache
-    g = np.asarray(dout, dtype=np.float64)
-    for li in range(len(layers) - 1, -1, -1):
-        w, b, name = layers[li]
-        _, dfn = _activation(name)
-        g = g * dfn(pre[li], acts[li + 1])
-        a_in = acts[li]
+    g = dout
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i]
         if update_grads:
-            if g.ndim == 1:
-                w.grad += np.outer(g, a_in)
-                b.grad += g
-            else:
-                w.grad += g.T @ a_in
-                b.grad += g.sum(axis=0)
+            w.grad += g.T @ acts[i]
+            b.grad += g.sum(axis=0)
         g = g @ w.value
+        if i:
+            g *= acts[i] > 0   # acts[i] = max(z, 0): the ReLU's mask
     return g
 
 

@@ -430,12 +430,12 @@ def gen_loss_and_grads(episode, clf, gen, disc, cfg, table) -> float:
     n = nq + len(s)
     for j, (f, _) in enumerate([] if cfg.no_adversarial else q + s):
         label = int(j >= nq)
-        logits, cache = nn.ffn_forward_cached(f, disc.layers)
-        loss -= cross_entropy(logits, label) / n
+        logits, acts = nn.ffn_forward_cached(f[None], disc.layers)
+        loss -= cross_entropy(logits[0], label) / n
         dlogits = softmax(logits)
-        dlogits[label] -= 1.0
+        dlogits[0, label] -= 1.0
         # minus sign: the generator maximizes the discriminator's loss
-        d = nn.ffn_backward(-dlogits / n, cache, disc.layers, update_grads=False)
+        d = nn.ffn_backward(-dlogits / n, acts, disc.layers, update_grads=False)[0]
         if j < nq:
             dfeats[j] = dfeats[j] + d
         else:

@@ -198,7 +198,7 @@ def test_criterion_5_analytic_anchors(setup):
     disc = DiscriminatorParams.init(s.model_cfg.encoder_dim,
                                     s.model_cfg.disc_hidden,
                                     np.random.default_rng(55))
-    for w, b, _ in disc.layers:
+    for w, b in disc.layers:
         w.value[:] = 0.0
         b.value[:] = 0.0
     rng = np.random.default_rng(505)

@@ -112,6 +112,28 @@ class TestTrainEval:
         weights = [float(l.split("\t")[1]) for l in lines]
         assert abs(sum(weights) - 1.0) < 1e-5
 
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_small_class_warned_once(self, seed, tmp_path, caplog):
+        # class_8 cut to one example; seeds 2 and 4 put it in a checked split
+        assert main(["synth", "--out", str(tmp_path), "--n-classes", "9",
+                     "--examples-per-class", "10", "--sentence-len", "8",
+                     "--noise-vocab", "6", "--dim", "8"]) == 0
+        lines = (tmp_path / "corpus.jsonl").read_text().splitlines(keepends=True)
+        small = [l for l in lines if json.loads(l)["label"] == "class_8"]
+        (tmp_path / "corpus.jsonl").write_text(
+            "".join(l for l in lines if l not in small[1:]))
+        config = tmp_path / "c.txt"
+        config.write_text(f"seed={seed}\nn_way=2\nk_shot=1\nl_query=2\nepochs=1\n"
+                          "episodes_per_epoch=1\nval_episodes=1\nhidden=3\nmax_len=8\n"
+                          "n_train_classes=5\nn_val_classes=2\nn_test_classes=2\n")
+        with caplog.at_level("WARNING"):
+            rc = main(["train", "--data", str(tmp_path / "corpus.jsonl"),
+                       "--embeddings", str(tmp_path / "embeddings.vec"),
+                       "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert [r.getMessage() for r in caplog.records if "excluding" in r.getMessage()] == [
+            "excluding 1 class(es) with fewer than 3 examples"]
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -363,6 +385,24 @@ class TestMalformedCheckpoint:
                    "--n-episodes", "2", "--n-way", "2", "--k-shot", "1", "--l-query", "2"])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", "8"), ("hidden", 4.9), ("hidden", True), ("max_len", 8.5), ("lam", True),
+        ("lam", "0.5"), ("no_adversarial", "false"), ("concat_fusion", 0),
+        ("disc_hidden", "86"), ("disc_hidden", [8.0, 6]), ("disc_hidden", [8, 6, 1])])
+    def test_bad_config_value_names_key(self, key, value, synth_dir, trained_dir, tmp_path,
+                                        capsys):
+        payload = json.loads((trained_dir / "checkpoint.json").read_text())
+        payload["config"][key] = value
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["eval", "--checkpoint", str(bad),
+                   "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--n-episodes", "2", "--n-way", "2", "--k-shot", "1", "--l-query", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert key in err.partition("bad model config")[2]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_weight_refused_by_dump_attention(self, bad, synth_dir, trained_dir,

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import json
 import math
 import weakref
 
@@ -10,14 +11,14 @@ import pytest
 import oracles
 from metadapt import model, nn
 from metadapt.corpus import (DataError, load_embeddings, load_jsonl_dataset, make_dataset,
-                             split_classes)
+                             split_classes, write_corpus_files)
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt import harness
 from metadapt.harness import (TrainConfig, dump_attention,
                               dump_embeddings, evaluate_episodes,
                               gen_synthetic_corpus, keyword_token_ids,
                               load_checkpoint, meta_test, sample_eval_episodes,
-                              save_checkpoint, train, write_corpus_files)
+                              save_checkpoint, train)
 from metadapt.model import (DiscriminatorParams, EpisodeMetrics,
                             GeneratorParams, ModelConfig, encode)
 from metadapt.nn import NumericalError
@@ -105,6 +106,16 @@ class TestTrain:
         assert len(res.history) == 4
         with open(tmp_path / "metrics.jsonl") as fh:
             assert sum(1 for _ in fh) == 4
+
+    def test_split_json_written(self, tmp_path):
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        cfg = TrainConfig(spec=spec, epochs=1, episodes_per_epoch=1, val_episodes=1)
+        train(ds, split, cfg, mcfg, table, out_dir=tmp_path)
+        want = {"train_classes": sorted(split.train_classes),
+                "val_classes": sorted(split.val_classes),
+                "test_classes": sorted(split.test_classes),
+                "label_names": list(ds.label_names)}
+        assert (tmp_path / "split.json").read_text() == json.dumps(want, indent=2)
 
     def test_unservable_split_refused_before_output(self, tmp_path):
         ds, table, vocab, split, spec, mcfg = small_setup()   # 2 validation classes
@@ -342,7 +353,17 @@ class TestCheckpoint:
         assert params_digest(disc2.params()) == params_digest(disc.params())
         assert_views(gen2)
         assert_views(disc2)
-        assert [act for _, _, act in disc2.layers] == ["relu", "relu", "linear"]
+        x = rng.normal(size=(5, mcfg.encoder_dim))
+        assert np.array_equal(oracles.ffn_forward(x, disc2.layers),
+                              oracles.ffn_forward(x, disc.layers))
+
+    def test_integer_lam_loads(self, tmp_path):
+        mcfg = ModelConfig(dim=6, hidden=4, lam=2, max_len=8, disc_hidden=(8, 8))
+        rng = np.random.default_rng(9)
+        save_checkpoint(tmp_path / "ck.json", GeneratorParams.init(mcfg, rng),
+                        DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden, rng),
+                        mcfg)
+        assert load_checkpoint(tmp_path / "ck.json")[2] == mcfg
 
     def test_round_trip_with_proj(self, tmp_path):
         mcfg = ModelConfig(dim=6, hidden=4, lam=1.0, no_adversarial=True,

@@ -38,7 +38,7 @@ def small_cfg(**kw):
 def zero_disc(cfg):
     disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden,
                                     np.random.default_rng(0))
-    for w, b, _ in disc.layers:
+    for w, b in disc.layers:
         w.value[:] = 0.0
         b.value[:] = 0.0
     return disc
@@ -298,7 +298,7 @@ class TestDiscriminate:
         cfg = small_cfg()
         disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
         s = rng.normal(size=cfg.dim)
-        (w1, b1, _), (w2, b2, _), (w3, b3, _) = disc.layers
+        (w1, b1), (w2, b2), (w3, b3) = disc.layers
         z = w3.value @ np.maximum(w2.value @ np.maximum(w1.value @ s + b1.value, 0)
                                   + b2.value, 0) + b3.value
         e = np.exp(z - z.max())
@@ -328,9 +328,7 @@ class TestDiscLoss:
         u = np.zeros(cfg.dim)
         u[0] = 1.0
         disc = zero_disc(cfg)
-        w1, b1, _ = disc.layers[0]
-        w2, b2, _ = disc.layers[1]
-        w3, b3, _ = disc.layers[2]
+        (w1, b1), (w2, b2), (w3, b3) = disc.layers
         w1.value[0] = 50.0 * u     # detects +u
         w1.value[1] = -50.0 * u    # detects -u
         w2.value[0, 0] = 1.0
@@ -375,7 +373,7 @@ class TestDiscLoss:
         q = [rng.normal(size=cfg.dim) for _ in range(4)]
         s = [rng.normal(size=cfg.dim) for _ in range(4)]
         swapped = copy.deepcopy(disc)
-        w3, b3, act = swapped.layers[2]
+        w3, b3 = swapped.layers[2]
         w3.value[:] = w3.value[::-1].copy()
         b3.value[:] = b3.value[::-1].copy()
         # per-sample terms are bit-identical; the sum runs in a different

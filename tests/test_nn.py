@@ -315,25 +315,22 @@ class TestPaddedBatch:
 
 class TestFfn:
     def test_identity_layer(self):
-        lay = [(Param(np.eye(3)), Param(np.zeros(3)), "linear")]
-        x = np.array([1.0, -2.0, 3.0])
+        lay = [(Param(np.eye(3)), Param(np.zeros(3)))]
+        x = np.array([1.0, -2.0, 3.0])   # the last layer has no ReLU
         assert np.array_equal(ffn_forward(x, lay), x)
 
     def test_zero_weights_give_activation_of_zero(self):
-        for act in ("relu", "linear"):
-            lay = [(Param(np.zeros((4, 3))), Param(np.zeros(4)), act)]
+        for n_layers in (1, 2):
+            lay = [(Param(np.zeros((4, 3 if i == 0 else 4))), Param(np.zeros(4)))
+                   for i in range(n_layers)]
             out = ffn_forward(np.array([1.0, 2.0, 3.0]), lay)
             assert np.array_equal(out, np.zeros(4))
-        for act in ("tanh", "sigmoid"):   # no model uses them
-            lay = [(Param(np.zeros((4, 3))), Param(np.zeros(4)), act)]
-            with pytest.raises(ValueError, match="unknown activation"):
-                ffn_forward(np.array([1.0, 2.0, 3.0]), lay)
 
     def test_two_layer_composition_oracle(self):
         rng = np.random.default_rng(6)
         w1, b1 = rng.normal(size=(5, 3)), rng.normal(size=5)
         w2, b2 = rng.normal(size=(2, 5)), rng.normal(size=2)
-        lay = [(Param(w1), Param(b1), "relu"), (Param(w2), Param(b2), "linear")]
+        lay = [(Param(w1), Param(b1)), (Param(w2), Param(b2))]
         x = rng.normal(size=3)
         z = w1 @ x + b1
         assert (z > 0).any() and (z < 0).any()   # both sides of the relu
@@ -342,8 +339,8 @@ class TestFfn:
 
     def test_batch_rows_match_single(self):
         rng = np.random.default_rng(7)
-        lay = [(Param(rng.normal(size=(4, 3))), Param(rng.normal(size=4)), "relu"),
-               (Param(rng.normal(size=(2, 4))), Param(rng.normal(size=2)), "linear")]
+        lay = [(Param(rng.normal(size=(4, 3))), Param(rng.normal(size=4))),
+               (Param(rng.normal(size=(2, 4))), Param(rng.normal(size=2)))]
         X = rng.normal(size=(6, 3))
         batch = ffn_forward(X, lay)
         for i in range(6):
@@ -686,27 +683,44 @@ class TestBackwardPasses:
 
     def test_ffn_backward_grad_check(self):
         rng = np.random.default_rng(12)
-        lay = [(Param(rng.normal(size=(5, 3))), Param(rng.normal(size=5)), "relu"),
-               (Param(rng.normal(size=(2, 5))), Param(rng.normal(size=2)), "linear")]
-        params = [p for w, b, _ in lay for p in (w, b)]
-        x = rng.normal(size=3)
+        lay = [(Param(rng.normal(size=(5, 3))), Param(rng.normal(size=5))),
+               (Param(rng.normal(size=(4, 5))), Param(rng.normal(size=4))),
+               (Param(rng.normal(size=(2, 4))), Param(rng.normal(size=2)))]
+        params = [p for pair in lay for p in pair]
+        x = rng.normal(size=(6, 3))
+        labels = [0, 1, 1, 0, 1, 0]
+        _, acts = ffn_forward_cached(x, lay)
+        for (w, b), a_in in zip(lay[:-1], acts):
+            z = a_in @ w.value.T + b.value
+            assert (z > 0).any() and (z < 0).any()   # both sides of each ReLU
 
         def loss_fn():
-            out, cache = ffn_forward_cached(x, lay)
-            loss, dout = softmax_cross_entropy(out[None], [0])
-            ffn_backward(dout[0], cache, lay)
+            out, acts = ffn_forward_cached(x, lay)
+            loss, dout = softmax_cross_entropy(out, labels)
+            ffn_backward(dout, acts, lay)
             return loss
 
         assert grch(loss_fn, params, rng) < 1e-5
+        # the input gradient, against central differences
+        out, acts = ffn_forward_cached(x, lay)
+        dx = ffn_backward(softmax_cross_entropy(out, labels)[1], acts, lay, update_grads=False)
+        eps = 1e-6
+        for idx in np.ndindex(x.shape):
+            xp, xm = x.copy(), x.copy()
+            xp[idx] += eps
+            xm[idx] -= eps
+            numeric = (softmax_cross_entropy(ffn_forward(xp, lay), labels)[0]
+                       - softmax_cross_entropy(ffn_forward(xm, lay), labels)[0]) / (2 * eps)
+            assert abs(numeric - dx[idx]) < 1e-7
 
     def test_ffn_backward_input_only_leaves_params(self):
         rng = np.random.default_rng(13)
-        lay = [(Param(rng.normal(size=(4, 3))), Param(rng.normal(size=4)), "relu"),
-               (Param(rng.normal(size=(2, 4))), Param(rng.normal(size=2)), "linear")]
+        lay = [(Param(rng.normal(size=(4, 3))), Param(rng.normal(size=4))),
+               (Param(rng.normal(size=(2, 4))), Param(rng.normal(size=2)))]
         x = rng.normal(size=(5, 3))
-        out, cache = ffn_forward_cached(x, lay)
-        ffn_backward(np.ones_like(out), cache, lay, update_grads=False)
-        for w, b, _ in lay:
+        out, acts = ffn_forward_cached(x, lay)
+        ffn_backward(np.ones_like(out), acts, lay, update_grads=False)
+        for w, b in lay:
             assert np.array_equal(w.grad, np.zeros_like(w.grad))
             assert np.array_equal(b.grad, np.zeros_like(b.grad))
 
