@@ -14,7 +14,7 @@ import numpy as np
 from metadapt import (EpisodeSpec, GeneratorParams, ModelConfig, TrainConfig,
                       dump_attention, gen_synthetic_corpus, meta_test,
                       split_classes, train)
-from metadapt.harness import keyword_token_ids
+from metadapt.corpus import keyword_token_ids
 
 dataset, table, vocab = gen_synthetic_corpus(
     n_classes=24, examples_per_class=50, sentence_len=12,

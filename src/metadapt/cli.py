@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .corpus import (DataError, Example, Vocab, load_embeddings, load_jsonl_dataset,
-                     split_classes, tokenize, write_corpus_files)
+from .corpus import (DataError, Vocab, gen_synthetic_corpus, keyword_token_ids,
+                     load_embeddings, load_jsonl_dataset, make_dataset, split_classes,
+                     tokenize, write_corpus_files)
 from .episodes import EpisodeSpec, check_classes, sample_episode
 from .harness import TrainConfig
 from .model import ModelConfig
@@ -71,28 +72,26 @@ _CONFIG_DEFAULTS = {
     "disc_hidden1": 256, "disc_hidden2": 128,
 }
 _SPLIT_KEYS = ("n_train_classes", "n_val_classes", "n_test_classes")
-
-_BOOL_KEYS = {"no_adversarial", "concat_fusion"}
-_FLOAT_KEYS = {"lr", "lam"}
-_STR_KEYS = {"source_excludes"}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _coerce_value(key: str, val):
-    """``val`` as the type of config key ``key``; DataError if it has another type."""
-    if key in _BOOL_KEYS:
+    """``val`` as the type of config key ``key``'s default (int for a None
+    default); DataError if it has another type."""
+    default = _CONFIG_DEFAULTS[key]
+    kind = int if default is None else type(default)
+    if kind is bool:
         if isinstance(val, int) and val in (0, 1):  # True and False are ints too
             return bool(val)
         if isinstance(val, str) and val.lower() in _TRUE + _FALSE:
             return val.lower() in _TRUE
-    elif key in _STR_KEYS:
+    elif kind is str:
         if isinstance(val, str):
             return val
     elif not isinstance(val, bool):
-        conv, types = (float, (str, int, float)) if key in _FLOAT_KEYS else (int, (str, int))
-        if isinstance(val, types):
+        if isinstance(val, (str, int, float) if kind is float else (str, int)):
             try:
-                return conv(val)
+                return kind(val)
             except ValueError:
                 pass
     raise DataError(f"config key '{key}' has a value of the wrong type: {val!r}")
@@ -150,38 +149,27 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_split(path) -> tuple[set, set]:
-    """(test classes, train classes) from a split.json written by ``train``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            split = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise DataError(f"cannot read split file {path}: {exc}") from None
-    if not isinstance(split, dict):
-        raise DataError(f"{path}: a split must be a JSON object, got {type(split).__name__}")
-
-    def classes(key):
-        ids = split.get(key)
-        if not isinstance(ids, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in ids):
-            raise DataError(f"{path}: {key} must be a list of integer class ids, got {ids!r}")
-        return set(ids)
-
-    return classes("test_classes"), classes("train_classes")
-
-
-def _cmd_eval(args) -> int:
-    gen, disc, model_cfg = harness.load_checkpoint(args.checkpoint)
-    dataset = load_jsonl_dataset(args.data, label_field=args.label_field,
-                                 text_field=args.text_field, max_len=model_cfg.max_len)
+def _load_model(args, read_text):
+    """The checkpoint, then ``read_text(max_len)``'s Dataset, its sentences
+    cut to the checkpoint's ``max_len``, then the embeddings of its
+    vocabulary, which must have the checkpoint's dimension.  Returns
+    (gen, model_cfg, dataset, table)."""
+    gen, _, model_cfg = harness.load_checkpoint(args.checkpoint)
+    dataset = read_text(model_cfg.max_len)
     table = load_embeddings(args.embeddings, dataset.vocab)
     if table.dim != model_cfg.dim:
         raise DataError(f"embedding dimension {table.dim} does not match "
                         f"checkpoint dimension {model_cfg.dim}")
+    return gen, model_cfg, dataset, table
+
+
+def _cmd_eval(args) -> int:
+    gen, model_cfg, dataset, table = _load_model(args, lambda max_len: load_jsonl_dataset(
+        args.data, label_field=args.label_field, text_field=args.text_field, max_len=max_len))
 
     train_classes = None
     if args.split:
-        test_classes, train_classes = _read_split(args.split)
+        test_classes, train_classes = harness.load_split(args.split)
         unknown = (test_classes | train_classes) - dataset.classes
         if unknown:
             raise DataError(f"{args.split}: class ids {sorted(unknown)} are not in the "
@@ -204,13 +192,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    dataset, table, vocab = harness.gen_synthetic_corpus(
+    dataset, table, vocab = gen_synthetic_corpus(
         n_classes=args.n_classes, examples_per_class=args.examples_per_class,
         sentence_len=args.sentence_len, keywords_per_class=args.keywords_per_class,
         vocab_noise_size=args.noise_vocab, d=args.dim, seed=args.seed)
     corpus_path, vec_path = write_corpus_files(dataset, table, args.out)
     keywords = {dataset.label_names[c]: sorted(vocab.tokens[i] for i in ids)
-                for c, ids in harness.keyword_token_ids(vocab).items()}
+                for c, ids in keyword_token_ids(vocab).items()}
     kw_path = Path(args.out) / "keywords.json"
     with open(kw_path, "w", encoding="utf-8") as fh:
         json.dump(keywords, fh, indent=2, sort_keys=True)
@@ -234,17 +222,16 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_attention(args) -> int:
-    gen, disc, model_cfg = harness.load_checkpoint(args.checkpoint)
-    toks = tokenize(args.text)
-    if not toks:
-        raise DataError("text tokenizes to nothing")
-    vocab = Vocab.from_tokens(dict.fromkeys(toks))
-    table = load_embeddings(args.embeddings, vocab)
-    if table.dim != model_cfg.dim:
-        raise DataError(f"embedding dimension {table.dim} does not match "
-                        f"checkpoint dimension {model_cfg.dim}")
-    example = Example(token_ids=tuple(vocab.index[t] for t in toks), label=0)
-    pairs = harness.dump_attention(gen, model_cfg, example, table, vocab, out=args.out)
+    def read_text(max_len):  # as load_jsonl_dataset cuts a corpus line
+        toks = tokenize(args.text)[:max_len]
+        if not toks:
+            raise DataError("text tokenizes to nothing")
+        vocab = Vocab.from_tokens(dict.fromkeys(toks))
+        return make_dataset([([vocab.index[t] for t in toks], 0)], ["text"], vocab)
+
+    gen, model_cfg, text, table = _load_model(args, read_text)
+    pairs = harness.dump_attention(gen, model_cfg, text.examples[0], table, text.vocab,
+                                   out=args.out)
     for tok, w in pairs:
         print(f"{tok}\t{w:.6f}")
     return EXIT_OK
@@ -277,17 +264,23 @@ def build_parser() -> _Parser:
                                  "domain-adaptation network for few-shot text "
                                  "classification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    fields = argparse.ArgumentParser(add_help=False)   # a JSON-lines corpus's fields
+    fields.add_argument("--label-field", default="label")
+    fields.add_argument("--text-field", default="text")
+    shape = argparse.ArgumentParser(add_help=False)    # the episode shape
+    shape.add_argument("--n-way", type=int, default=5)
+    shape.add_argument("--k-shot", type=int, default=1)
+    shape.add_argument("--l-query", type=int, default=5)
 
-    p = sub.add_parser("train", help="meta-train on a JSON-lines corpus")
+    p = sub.add_parser("train", parents=[fields], help="meta-train on a JSON-lines corpus")
     p.add_argument("--data", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--config", default=None, help="JSON or key=value file")
     p.add_argument("--out", required=True)
-    p.add_argument("--label-field", default="label")
-    p.add_argument("--text-field", default="text")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="episodic evaluation of a checkpoint")
+    p = sub.add_parser("eval", parents=[fields, shape],
+                       help="episodic evaluation of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--embeddings", required=True)
@@ -295,11 +288,6 @@ def build_parser() -> _Parser:
                    help="split.json from training; defaults to all classes")
     p.add_argument("--n-episodes", type=int, default=1000)
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--n-way", type=int, default=5)
-    p.add_argument("--k-shot", type=int, default=1)
-    p.add_argument("--l-query", type=int, default=5)
-    p.add_argument("--label-field", default="label")
-    p.add_argument("--text-field", default="text")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("synth", help="write a synthetic corpus + embeddings")
@@ -317,22 +305,19 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("dump-attention", help="attention weights for a sentence")
+    p = sub.add_parser("dump-attention",
+                       help="attention weights for a sentence, cut to max_len tokens")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_dump_attention)
 
-    p = sub.add_parser("sample-episodes", help="print sampled episode composition")
+    p = sub.add_parser("sample-episodes", parents=[fields, shape],
+                       help="print sampled episode composition")
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--n-way", type=int, default=5)
-    p.add_argument("--k-shot", type=int, default=1)
-    p.add_argument("--l-query", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--label-field", default="label")
-    p.add_argument("--text-field", default="text")
     p.set_defaults(func=_cmd_sample_episodes)
     return parser
 

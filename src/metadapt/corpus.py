@@ -2,8 +2,9 @@
 
 Datasets are JSON-lines files (one object per line, configurable text/label
 fields).  Embeddings are plain-text files in the common ``token f1 ... fd``
-format with an optional ``V d`` header line.  Everything here is immutable
-after construction and safe to share between threads read-only.
+format with an optional ``V d`` header line.  This module reads and writes
+both formats, and makes seeded synthetic keyword corpora.  Everything here
+is immutable after construction and safe to share between threads read-only.
 """
 
 from __future__ import annotations
@@ -272,6 +273,63 @@ def write_corpus_files(dataset: Dataset, table: EmbeddingTable, out_dir,
             vals = " ".join(f"{v:.17g}" for v in table.matrix[i])
             fh.write(f"{tok} {vals}\n")
     return out / "corpus.jsonl", out / "embeddings.vec"
+
+
+def gen_synthetic_corpus(n_classes: int, examples_per_class: int, sentence_len: int,
+                         keywords_per_class: int, vocab_noise_size: int, d: int,
+                         seed: int):
+    """Desk-scale corpus whose class signal lives only in per-class keywords.
+
+    Each class owns a disjoint keyword set; every sentence carries 1-3
+    keyword occurrences from its own class at random positions, surrounded
+    by distractor tokens shared across classes.  Embeddings are seeded
+    random unit vectors, so an encoder must attend to the keywords to
+    separate classes.  Returns (Dataset, EmbeddingTable, Vocab).
+    """
+    if min(n_classes, examples_per_class, sentence_len, keywords_per_class,
+           vocab_noise_size, d) < 1:
+        raise ValueError("all synthetic-corpus parameters must be >= 1")
+    if sentence_len < 4:
+        raise ValueError("sentence_len must be >= 4 to fit keywords and distractors")
+
+    rng = np.random.default_rng(seed)
+    kw_tokens = [[f"kw{c}_{j}" for j in range(keywords_per_class)]
+                 for c in range(n_classes)]
+    noise_tokens = [f"w{i}" for i in range(vocab_noise_size)]
+    vocab = Vocab.from_tokens([t for kws in kw_tokens for t in kws] + noise_tokens)
+
+    matrix = rng.normal(size=(len(vocab), d))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    table = EmbeddingTable(matrix=matrix, dim=d)
+
+    noise_ids = np.array([vocab.index[t] for t in noise_tokens], dtype=np.intp)
+    parsed = []
+    for c in range(n_classes):
+        kw_ids = np.array([vocab.index[t] for t in kw_tokens[c]], dtype=np.intp)
+        for _ in range(examples_per_class):
+            sent = noise_ids[rng.integers(0, vocab_noise_size, size=sentence_len)].copy()
+            n_kw = int(rng.integers(1, 4))
+            pos = rng.choice(sentence_len, size=n_kw, replace=False)
+            # cycle a shuffled keyword order so occurrences cover distinct
+            # keywords before repeating any
+            order = rng.permutation(keywords_per_class)
+            for idx, p in enumerate(pos):
+                sent[p] = kw_ids[order[idx % keywords_per_class]]
+            parsed.append((tuple(int(t) for t in sent), c))
+    label_names = [f"class_{c}" for c in range(n_classes)]
+    return make_dataset(parsed, label_names, vocab), table, vocab
+
+
+def keyword_token_ids(vocab: Vocab) -> dict[int, frozenset[int]]:
+    """Class id -> keyword token ids for a synthetic corpus, parsed from the
+    ``kw{class}_{j}`` naming convention."""
+    out: dict[int, set[int]] = {}
+    for i, t in enumerate(vocab.tokens):
+        if t.startswith("kw") and "_" in t:
+            head = t[2:t.index("_")]
+            if head.isdigit():
+                out.setdefault(int(head), set()).add(i)
+    return {c: frozenset(ids) for c, ids in out.items()}
 
 
 def split_classes(classes, counts: tuple[int, int, int], rng: np.random.Generator) -> ClassSplit:

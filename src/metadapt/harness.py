@@ -1,5 +1,6 @@
-"""Meta-training with early stopping, episodic evaluation, synthetic corpora,
-metric persistence, and attention/embedding dumps."""
+"""Meta-training with early stopping, episodic evaluation, metric
+persistence, attention/embedding dumps, and the files a run writes and reads
+back: ``split.json`` and the checkpoint."""
 
 from __future__ import annotations
 
@@ -46,6 +47,9 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if self.source_excludes not in ("all", "current"):
+            raise ValueError("source_excludes must be 'all' or 'current', "
+                             f"got {self.source_excludes!r}")
 
 
 @dataclass
@@ -250,6 +254,28 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
                        epochs_run=epochs_run)
 
 
+def load_split(path) -> tuple[set, set]:
+    """(test classes, train classes) from a ``split.json`` that ``train``
+    wrote; anything but an object whose two keys list integer class ids
+    raises DataError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            split = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise DataError(f"cannot read split file {path}: {exc}") from None
+    if not isinstance(split, dict):
+        raise DataError(f"{path}: a split must be a JSON object, got {type(split).__name__}")
+
+    def classes(key):
+        ids = split.get(key)
+        if not isinstance(ids, list) or not all(
+                isinstance(c, int) and not isinstance(c, bool) for c in ids):
+            raise DataError(f"{path}: {key} must be a list of integer class ids, got {ids!r}")
+        return set(ids)
+
+    return classes("test_classes"), classes("train_classes")
+
+
 def _write_csv_summary(path, history, val_accuracies, episodes_per_epoch):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -302,67 +328,6 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
 
 
 # ---------------------------------------------------------------------------
-# synthetic corpus
-
-
-def gen_synthetic_corpus(n_classes: int, examples_per_class: int, sentence_len: int,
-                         keywords_per_class: int, vocab_noise_size: int, d: int,
-                         seed: int):
-    """Desk-scale corpus whose class signal lives only in per-class keywords.
-
-    Each class owns a disjoint keyword set; every sentence carries 1-3
-    keyword occurrences from its own class at random positions, surrounded
-    by distractor tokens shared across classes.  Embeddings are seeded
-    random unit vectors, so an encoder must attend to the keywords to
-    separate classes.  Returns (Dataset, EmbeddingTable, Vocab).
-    """
-    if min(n_classes, examples_per_class, sentence_len, keywords_per_class,
-           vocab_noise_size, d) < 1:
-        raise ValueError("all synthetic-corpus parameters must be >= 1")
-    if sentence_len < 4:
-        raise ValueError("sentence_len must be >= 4 to fit keywords and distractors")
-
-    rng = np.random.default_rng(seed)
-    kw_tokens = [[f"kw{c}_{j}" for j in range(keywords_per_class)]
-                 for c in range(n_classes)]
-    noise_tokens = [f"w{i}" for i in range(vocab_noise_size)]
-    vocab = Vocab.from_tokens([t for kws in kw_tokens for t in kws] + noise_tokens)
-
-    matrix = rng.normal(size=(len(vocab), d))
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    table = EmbeddingTable(matrix=matrix, dim=d)
-
-    noise_ids = np.array([vocab.index[t] for t in noise_tokens], dtype=np.intp)
-    parsed = []
-    for c in range(n_classes):
-        kw_ids = np.array([vocab.index[t] for t in kw_tokens[c]], dtype=np.intp)
-        for _ in range(examples_per_class):
-            sent = noise_ids[rng.integers(0, vocab_noise_size, size=sentence_len)].copy()
-            n_kw = int(rng.integers(1, 4))
-            pos = rng.choice(sentence_len, size=n_kw, replace=False)
-            # cycle a shuffled keyword order so occurrences cover distinct
-            # keywords before repeating any
-            order = rng.permutation(keywords_per_class)
-            for idx, p in enumerate(pos):
-                sent[p] = kw_ids[order[idx % keywords_per_class]]
-            parsed.append((tuple(int(t) for t in sent), c))
-    label_names = [f"class_{c}" for c in range(n_classes)]
-    return make_dataset(parsed, label_names, vocab), table, vocab
-
-
-def keyword_token_ids(vocab: Vocab) -> dict[int, frozenset[int]]:
-    """Class id -> keyword token ids for a synthetic corpus, parsed from the
-    ``kw{class}_{j}`` naming convention."""
-    out: dict[int, set[int]] = {}
-    for i, t in enumerate(vocab.tokens):
-        if t.startswith("kw") and "_" in t:
-            head = t[2:t.index("_")]
-            if head.isdigit():
-                out.setdefault(int(head), set()).add(i)
-    return {c: frozenset(ids) for c, ids in out.items()}
-
-
-# ---------------------------------------------------------------------------
 # dumps
 
 
@@ -396,26 +361,19 @@ def dump_embeddings(gen: GeneratorParams, cfg: ModelConfig, episode: Episode,
 # gradient checking
 
 
-def _tiny_instance(seed: int, dim: int = 6, hidden: int = 4, n_way: int = 2,
-                   k_shot: int = 1, l_query: int = 2, max_tokens: int = 5):
-    """A small random episode + model for finite-difference checks."""
+def _tiny_instance(seed: int):
+    """A small random episode + model for finite-difference checks: a 2-way
+    1-shot 2-query episode from 4 classes of 5 sentences, d = 6, H = 4."""
     rng = np.random.default_rng(seed)
-    n_classes = n_way + 2
-    per_class = k_shot + l_query + 2
     vocab = Vocab.from_tokens([f"t{i}" for i in range(12)])
-    matrix = rng.normal(size=(len(vocab), dim))
-    table = EmbeddingTable(matrix=matrix, dim=dim)
-    parsed = []
-    for c in range(n_classes):
-        for _ in range(per_class):
-            # full-length sentences keep recurrent-weight gradients well away
-            # from the float64 noise floor of the difference quotient
-            ids = tuple(int(i) for i in rng.integers(0, len(vocab), size=max_tokens))
-            parsed.append((ids, c))
-    dataset = make_dataset(parsed, [f"c{c}" for c in range(n_classes)], vocab)
-    cfg = ModelConfig(dim=dim, hidden=hidden, lam=1.0, max_len=max_tokens,
-                      disc_hidden=(16, 8))
-    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, l_query=l_query)
+    table = EmbeddingTable(matrix=rng.normal(size=(len(vocab), 6)), dim=6)
+    # full-length (5-token) sentences keep recurrent-weight gradients well
+    # away from the float64 noise floor of the difference quotient
+    parsed = [(tuple(int(i) for i in rng.integers(0, len(vocab), size=5)), c)
+              for c in range(4) for _ in range(5)]
+    dataset = make_dataset(parsed, [f"c{c}" for c in range(4)], vocab)
+    cfg = ModelConfig(dim=6, hidden=4, lam=1.0, max_len=5, disc_hidden=(16, 8))
+    spec = EpisodeSpec(n_way=2, k_shot=1, l_query=2)
     episode = sample_episode(dataset, dataset.classes, spec, rng)
     gen = GeneratorParams.init(cfg, rng)
     disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
@@ -477,6 +435,22 @@ def save_checkpoint(path, gen: GeneratorParams, disc: DiscriminatorParams,
         fh.write('}, "config": ' + json.dumps(dataclasses.asdict(model_cfg)) + "}")
 
 
+_CONFIG_TYPES = {"dim": (int,), "hidden": (int,), "lam": (int, float), "max_len": (int,),
+                 "no_adversarial": (bool,), "concat_fusion": (bool,), "disc_hidden": (list,)}
+
+
+def _read_model_config(d: dict) -> ModelConfig:
+    """The config ``save_checkpoint`` wrote.  A value of another JSON type
+    than its field is written as (a bool is no number; disc_hidden lists
+    integers) raises TypeError naming the key."""
+    for key, allowed in _CONFIG_TYPES.items():
+        if type(d[key]) not in allowed or (
+                key == "disc_hidden" and {type(h) for h in d[key]} - {int}):
+            raise TypeError(f"{key} has a value of the wrong type: {d[key]!r}")
+    return ModelConfig(**{**{k: d[k] for k in _CONFIG_TYPES},
+                          "disc_hidden": tuple(d["disc_hidden"])})
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (gen, disc, model_cfg), the parameters
     built for the stored config.  Every fault in the container, its arrays
@@ -500,7 +474,7 @@ def load_checkpoint(path):
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed array {name}: {exc!r}") from None
     try:
-        model_cfg = ModelConfig.from_dict(payload.get("config") or {})
+        model_cfg = _read_model_config(payload.get("config") or {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad model config: {exc!r}") from None
     rng = np.random.default_rng(0)

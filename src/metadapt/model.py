@@ -61,21 +61,6 @@ class ModelConfig:
         """Classifier input width including the appended bias feature."""
         return self.encoder_dim + 1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """A config read back from the JSON ``save_checkpoint`` writes.  A
-        value of another JSON type than its field is written as (an integer
-        for dim, hidden and max_len, true or false for the flags, a number
-        for lam, a list of integers for disc_hidden; a bool is no number)
-        raises TypeError naming the key."""
-        types = {"dim": (int,), "hidden": (int,), "lam": (int, float), "max_len": (int,),
-                 "no_adversarial": (bool,), "concat_fusion": (bool,), "disc_hidden": (list,)}
-        for key, allowed in types.items():
-            if type(d[key]) not in allowed or (
-                    key == "disc_hidden" and {type(h) for h in d[key]} - {int}):
-                raise TypeError(f"{key} has a value of the wrong type: {d[key]!r}")
-        return cls(**{**{k: d[k] for k in types}, "disc_hidden": tuple(d["disc_hidden"])})
-
 
 class _ParamSet:
     """A parameter set whose ``named_params()`` lists every Param under its

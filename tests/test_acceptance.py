@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from metadapt import nn
-from metadapt.corpus import split_classes
+from metadapt.corpus import gen_synthetic_corpus, keyword_token_ids, split_classes
 from metadapt.episodes import EpisodeSpec, relabel, sample_episode
-from metadapt.harness import (TrainConfig, gen_synthetic_corpus,
-                              keyword_token_ids, meta_test,
-                              run_gradient_checks, train)
+from metadapt.harness import TrainConfig, meta_test, run_gradient_checks, train
 from metadapt.model import (DiscriminatorParams, GeneratorParams, ModelConfig,
                             RidgeClassifier, attention_weights, domain_loss,
                             episode_forward, fit_episode_classifier,

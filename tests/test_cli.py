@@ -5,6 +5,8 @@ import pytest
 
 from metadapt.cli import _coerce_config, main
 from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
+from metadapt.harness import save_checkpoint
+from metadapt.model import DiscriminatorParams, GeneratorParams, ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,31 @@ class TestTrainEval:
         weights = [float(l.split("\t")[1]) for l in lines]
         assert abs(sum(weights) - 1.0) < 1e-5
 
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion"])
+    def test_dump_attention_cut_to_max_len(self, variant, synth_dir, trained_dir, tmp_path,
+                                           capsys):
+        # both checkpoints have max_len=8, so the model never reads a 9th token
+        checkpoint = trained_dir / "checkpoint.json"
+        if variant == "concat_fusion":
+            cfg = ModelConfig(dim=8, hidden=4, concat_fusion=True, max_len=8,
+                              disc_hidden=(8, 6))
+            rng = np.random.default_rng(0)
+            checkpoint = tmp_path / "concat.json"
+            save_checkpoint(checkpoint, GeneratorParams.init(cfg, rng),
+                            DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng),
+                            cfg)
+
+        def dump(words):
+            assert main(["dump-attention", "--checkpoint", str(checkpoint),
+                         "--embeddings", str(synth_dir / "embeddings.vec"),
+                         "--text", " ".join(words)]) == 0
+            return capsys.readouterr().out
+
+        words = "kw0_0 w1 w2 w3 w4 w5 w0 kw1_0 w1 w2 w3 kw2_1".split()
+        out = dump(words)
+        assert [line.split("\t")[0] for line in out.splitlines()] == words[:8]
+        assert out == dump(words[:8])
+
     @pytest.mark.parametrize("seed", [2, 4])
     def test_small_class_warned_once(self, seed, tmp_path, caplog):
         # class_8 cut to one example; seeds 2 and 4 put it in a checked split
@@ -187,6 +214,7 @@ class TestExitCodes:
         ("lr=0", "lr must be finite and > 0, got 0.0"),
         ("lr=-1", "lr must be finite and > 0, got -1.0"),
         ("max_len=0", "max_len must be >= 1, got 0"),
+        ("source_excludes=bogus", "source_excludes must be 'all' or 'current', got 'bogus'"),
         ("n_train_classes=20\nn_val_classes=1\nn_test_classes=2",
          "split counts (20, 1, 2) exceed 8 available classes"),
         ("n_train_classes=-1\nn_val_classes=1\nn_test_classes=2",
@@ -194,8 +222,8 @@ class TestExitCodes:
         ("n_train_classes=2", "give all or none of n_train_classes, n_val_classes, "
                               "n_test_classes; missing n_val_classes, n_test_classes"),
     ], ids=["nan_lam", "inf_lam", "hidden", "epochs", "n_way", "disc_hidden1",
-            "nan_lr", "inf_lr", "zero_lr", "negative_lr", "max_len", "excess_split",
-            "negative_split", "partial_split"])
+            "nan_lr", "inf_lr", "zero_lr", "negative_lr", "max_len", "source_excludes",
+            "excess_split", "negative_split", "partial_split"])
     def test_data_error_out_of_range_config(self, line, shown, synth_dir, tmp_path,
                                             capsys):
         config = tmp_path / "c.txt"

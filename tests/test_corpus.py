@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadapt.corpus import (ClassSplit, DataError, Example, Vocab,
-                             embed_sentence, load_embeddings,
+                             embed_sentence, gen_synthetic_corpus, load_embeddings,
                              load_jsonl_dataset, split_classes, tokenize)
-from metadapt.harness import gen_synthetic_corpus
 
 
 def write_jsonl(path, rows):

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from metadapt.corpus import make_dataset, Vocab
+from metadapt.corpus import gen_synthetic_corpus, make_dataset, Vocab
 from metadapt.episodes import (Episode, EpisodeSpec, check_classes, relabel,
                                sample_episode)
-from metadapt.harness import gen_synthetic_corpus
 import oracles
 
 

@@ -10,15 +10,14 @@ import pytest
 
 import oracles
 from metadapt import model, nn
-from metadapt.corpus import (DataError, load_embeddings, load_jsonl_dataset, make_dataset,
+from metadapt.corpus import (DataError, gen_synthetic_corpus, keyword_token_ids,
+                             load_embeddings, load_jsonl_dataset, make_dataset,
                              split_classes, write_corpus_files)
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt import harness
-from metadapt.harness import (TrainConfig, dump_attention,
-                              dump_embeddings, evaluate_episodes,
-                              gen_synthetic_corpus, keyword_token_ids,
-                              load_checkpoint, meta_test, sample_eval_episodes,
-                              save_checkpoint, train)
+from metadapt.harness import (TrainConfig, dump_attention, dump_embeddings,
+                              evaluate_episodes, load_checkpoint, meta_test,
+                              sample_eval_episodes, save_checkpoint, train)
 from metadapt.model import (DiscriminatorParams, EpisodeMetrics,
                             GeneratorParams, ModelConfig, encode)
 from metadapt.nn import NumericalError

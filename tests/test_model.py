@@ -8,9 +8,9 @@ import pytest
 
 from metadapt import model, nn
 from metadapt.corpus import (EmbeddingTable, Example, Vocab, embed_sentence,
-                             make_dataset, split_classes)
+                             gen_synthetic_corpus, make_dataset, split_classes)
 from metadapt.episodes import EpisodeSpec, sample_episode
-from metadapt.harness import TrainConfig, _tiny_instance, gen_synthetic_corpus, train
+from metadapt.harness import TrainConfig, _tiny_instance, train
 from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams,
                             ModelConfig, RidgeClassifier, attention_weights,
                             discriminator_loss_and_grads, domain_loss, encode,
@@ -664,9 +664,8 @@ class TestTokenProjection:
 
 
 class TestEpisodePhases:
-    def make(self, seed=0, **cfg_kw):
-        episode, gen, disc, cfg, table = _tiny_instance(seed, **cfg_kw)
-        return episode, gen, disc, cfg, table
+    def make(self, seed=0):
+        return _tiny_instance(seed)
 
     def test_phase_isolation(self):
         episode, gen, disc, cfg, table = self.make()
