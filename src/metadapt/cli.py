@@ -9,6 +9,7 @@ shape that the corpus cannot serve; ``train``, ``eval`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -62,16 +63,21 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-_CONFIG_DEFAULTS = {
-    "epochs": 50, "episodes_per_epoch": 100, "patience": 20, "seed": 0,
-    "val_episodes": 100, "lr": 0.001, "source_excludes": "all",
-    "n_way": 5, "k_shot": 1, "l_query": 5,
-    "n_train_classes": None, "n_val_classes": None, "n_test_classes": None,
-    "hidden": 128, "lam": 1.0, "max_len": 500,
-    "no_adversarial": False, "concat_fusion": False,
-    "disc_hidden1": 256, "disc_hidden2": 128,
-}
+def _field_defaults(cls, skip: str) -> dict:
+    """A dataclass's field defaults, all but field ``skip``'s."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != skip}
+
+
+# the episode shape's defaults: config keys of train, options of eval and
+# sample-episodes
+_SHAPE_DEFAULTS = {"n_way": 5, "k_shot": 1, "l_query": 5}
 _SPLIT_KEYS = ("n_train_classes", "n_val_classes", "n_test_classes")
+_DISC_KEYS = ("disc_hidden1", "disc_hidden2")
+_TRAIN_DEFAULTS = _field_defaults(TrainConfig, "spec")
+_MODEL_DEFAULTS = _field_defaults(ModelConfig, "dim")
+_DISC_DEFAULTS = dict(zip(_DISC_KEYS, _MODEL_DEFAULTS.pop("disc_hidden")))
+_CONFIG_DEFAULTS = {**_TRAIN_DEFAULTS, **_SHAPE_DEFAULTS, **dict.fromkeys(_SPLIT_KEYS),
+                    **_MODEL_DEFAULTS, **_DISC_DEFAULTS}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
@@ -126,16 +132,10 @@ def _cmd_train(args) -> int:
         counts = (_default_split_counts(len(dataset.classes)) if missing
                   else tuple(cfg[k] for k in _SPLIT_KEYS))
         split = split_classes(dataset.classes, counts, np.random.default_rng(cfg["seed"]))
-        spec = EpisodeSpec(n_way=cfg["n_way"], k_shot=cfg["k_shot"], l_query=cfg["l_query"])
-        train_cfg = TrainConfig(spec=spec, epochs=cfg["epochs"],
-                                episodes_per_epoch=cfg["episodes_per_epoch"],
-                                patience=cfg["patience"], seed=cfg["seed"],
-                                val_episodes=cfg["val_episodes"], lr=cfg["lr"],
-                                source_excludes=cfg["source_excludes"])
-        model_cfg = ModelConfig(dim=table.dim, hidden=cfg["hidden"], lam=cfg["lam"],
-                                no_adversarial=cfg["no_adversarial"],
-                                concat_fusion=cfg["concat_fusion"], max_len=cfg["max_len"],
-                                disc_hidden=(cfg["disc_hidden1"], cfg["disc_hidden2"]))
+        spec = EpisodeSpec(**{k: cfg[k] for k in _SHAPE_DEFAULTS})
+        train_cfg = TrainConfig(spec=spec, **{k: cfg[k] for k in _TRAIN_DEFAULTS})
+        model_cfg = ModelConfig(dim=table.dim, **{k: cfg[k] for k in _MODEL_DEFAULTS},
+                                disc_hidden=tuple(cfg[k] for k in _DISC_KEYS))
     except ValueError as exc:
         raise DataError(f"config: {exc}") from None
 
@@ -150,12 +150,12 @@ def _cmd_train(args) -> int:
 
 
 def _load_model(args, read_text):
-    """The checkpoint, then ``read_text(max_len)``'s Dataset, its sentences
+    """The checkpoint, then ``read_text(model_cfg)``'s Dataset, its sentences
     cut to the checkpoint's ``max_len``, then the embeddings of its
     vocabulary, which must have the checkpoint's dimension.  Returns
     (gen, model_cfg, dataset, table)."""
     gen, _, model_cfg = harness.load_checkpoint(args.checkpoint)
-    dataset = read_text(model_cfg.max_len)
+    dataset = read_text(model_cfg)
     table = load_embeddings(args.embeddings, dataset.vocab)
     if table.dim != model_cfg.dim:
         raise DataError(f"embedding dimension {table.dim} does not match "
@@ -164,8 +164,9 @@ def _load_model(args, read_text):
 
 
 def _cmd_eval(args) -> int:
-    gen, model_cfg, dataset, table = _load_model(args, lambda max_len: load_jsonl_dataset(
-        args.data, label_field=args.label_field, text_field=args.text_field, max_len=max_len))
+    gen, model_cfg, dataset, table = _load_model(args, lambda cfg: load_jsonl_dataset(
+        args.data, label_field=args.label_field, text_field=args.text_field,
+        max_len=cfg.max_len))
 
     train_classes = None
     if args.split:
@@ -222,8 +223,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_attention(args) -> int:
-    def read_text(max_len):  # as load_jsonl_dataset cuts a corpus line
-        toks = tokenize(args.text)[:max_len]
+    def read_text(cfg):  # as load_jsonl_dataset cuts a corpus line
+        if cfg.no_adversarial:
+            raise DataError("the plain-encoder ablation produces no attention weights")
+        toks = tokenize(args.text)[:cfg.max_len]
         if not toks:
             raise DataError("text tokenizes to nothing")
         vocab = Vocab.from_tokens(dict.fromkeys(toks))
@@ -268,9 +271,8 @@ def build_parser() -> _Parser:
     fields.add_argument("--label-field", default="label")
     fields.add_argument("--text-field", default="text")
     shape = argparse.ArgumentParser(add_help=False)    # the episode shape
-    shape.add_argument("--n-way", type=int, default=5)
-    shape.add_argument("--k-shot", type=int, default=1)
-    shape.add_argument("--l-query", type=int, default=5)
+    for key, default in _SHAPE_DEFAULTS.items():
+        shape.add_argument("--" + key.replace("_", "-"), type=int, default=default)
 
     p = sub.add_parser("train", parents=[fields], help="meta-train on a JSON-lines corpus")
     p.add_argument("--data", required=True)

@@ -4,8 +4,10 @@ back: ``split.json`` and the checkpoint."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -189,14 +191,11 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
     history: list[MetricsRecord] = []
     val_accuracies: list[float] = []
     best = (gen.values.copy(), disc.values.copy())
-    best_acc = -math.inf
     best_epoch = -1
-    since_improved = 0
     t0 = clock()
 
-    metrics_fh = open(out / "metrics.jsonl", "w", encoding="utf-8") if out else None
-    try:
-        epochs_run = 0
+    with (open(out / "metrics.jsonl", "w", encoding="utf-8") if out
+          else contextlib.nullcontext()) as metrics_fh:
         for epoch in range(cfg.epochs):
             for j in range(cfg.episodes_per_epoch):
                 ep = sample_episode(dataset, split.train_classes, cfg.spec, train_rng,
@@ -219,39 +218,31 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
                                         model_cfg)
                         msg += "; diagnostic checkpoint written"
                     raise NumericalError(msg) from exc
-            epochs_run = epoch + 1
 
             val_acc = float(np.mean(evaluate_episodes(gen, model_cfg, table, val_episodes)))
             val_accuracies.append(val_acc)
             if metrics_fh:
                 metrics_fh.flush()
 
-            if val_acc > best_acc:
-                best_acc = val_acc
+            if best_epoch < 0 or val_acc > val_accuracies[best_epoch]:
                 best_epoch = epoch
                 best = (gen.values.copy(), disc.values.copy())
-                since_improved = 0
-            else:
-                since_improved += 1
             logger.info("epoch %d: val accuracy %.4f (best %.4f at epoch %d)",
-                        epoch, val_acc, best_acc, best_epoch)
-            if since_improved >= cfg.patience:
+                        epoch, val_acc, val_accuracies[best_epoch], best_epoch)
+            if epoch - best_epoch >= cfg.patience:
                 logger.info("early stop after epoch %d", epoch)
                 break
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
 
     gen.values[...], disc.values[...] = best
     if out is not None:
-        _write_csv_summary(out / "metrics.csv", history, val_accuracies,
-                           cfg.episodes_per_epoch)
+        _write_csv_summary(out / "metrics.csv", history, val_accuracies)
         save_checkpoint(out / "checkpoint.json", gen, disc, model_cfg)
 
     return TrainResult(gen=gen, disc=disc, model_cfg=model_cfg,
                        history=history, val_accuracies=val_accuracies,
-                       best_epoch=best_epoch, best_val_accuracy=best_acc,
-                       epochs_run=epochs_run)
+                       best_epoch=best_epoch,
+                       best_val_accuracy=val_accuracies[best_epoch],
+                       epochs_run=len(val_accuracies))
 
 
 def load_split(path) -> tuple[set, set]:
@@ -276,16 +267,15 @@ def load_split(path) -> tuple[set, set]:
     return classes("test_classes"), classes("train_classes")
 
 
-def _write_csv_summary(path, history, val_accuracies, episodes_per_epoch):
+def _write_csv_summary(path, history, val_accuracies):
+    """One row per epoch: its episodes' mean metrics, then its validation accuracy."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "ridge_loss", "disc_loss", "gen_loss",
                     "train_accuracy", "val_accuracy"])
-        for epoch, val_acc in enumerate(val_accuracies):
-            rows = [r.metrics for r in
-                    history[epoch * episodes_per_epoch:(epoch + 1) * episodes_per_epoch]]
-            if not rows:
-                break
+        for (epoch, recs), val_acc in zip(itertools.groupby(history, lambda r: r.epoch),
+                                          val_accuracies):
+            rows = [r.metrics for r in recs]
             w.writerow([epoch,
                         float(np.mean([r.ridge_loss for r in rows])),
                         float(np.mean([r.disc_loss for r in rows])),
@@ -442,13 +432,16 @@ _CONFIG_TYPES = {"dim": (int,), "hidden": (int,), "lam": (int, float), "max_len"
 def _read_model_config(d: dict) -> ModelConfig:
     """The config ``save_checkpoint`` wrote.  A value of another JSON type
     than its field is written as (a bool is no number; disc_hidden lists
-    integers) raises TypeError naming the key."""
+    integers) raises TypeError naming the key; keys that are no field raise
+    ValueError naming them."""
     for key, allowed in _CONFIG_TYPES.items():
         if type(d[key]) not in allowed or (
                 key == "disc_hidden" and {type(h) for h in d[key]} - {int}):
             raise TypeError(f"{key} has a value of the wrong type: {d[key]!r}")
-    return ModelConfig(**{**{k: d[k] for k in _CONFIG_TYPES},
-                          "disc_hidden": tuple(d["disc_hidden"])})
+    unknown = sorted(d.keys() - _CONFIG_TYPES.keys())
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    return ModelConfig(**{**d, "disc_hidden": tuple(d["disc_hidden"])})
 
 
 def load_checkpoint(path):

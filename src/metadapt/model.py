@@ -56,11 +56,6 @@ class ModelConfig:
         """Width of the classifier/discriminator input, before the bias feature."""
         return self.max_len + self.dim if self.concat_fusion else self.dim
 
-    @property
-    def feature_dim(self) -> int:
-        """Classifier input width including the appended bias feature."""
-        return self.encoder_dim + 1
-
 
 class _ParamSet:
     """A parameter set whose ``named_params()`` lists every Param under its

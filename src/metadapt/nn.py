@@ -464,9 +464,6 @@ class AdamState:
     """Adam moments of one parameter vector."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
@@ -477,6 +474,7 @@ class AdamState:
 # over the whole vector at once, every pass streams a paper-shape
 # generator's 4.4 MB vectors from memory again.
 ADAM_BLOCK = 1 << 15
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray):
@@ -488,7 +486,7 @@ def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray):
     if not state.m.shape == grads.shape == values.shape:
         raise ValueError("parameter vector does not match optimizer state")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for s in range(0, values.size, ADAM_BLOCK):
@@ -497,7 +495,7 @@ def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        w -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        w -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     grads.fill(0.0)
 
 

@@ -300,7 +300,7 @@ def adam_step_per_param(state, params):
         state.m = [np.zeros_like(p.value) for p in params]
         state.v = [np.zeros_like(p.value) for p in params]
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for p, m, v in zip(params, state.m, state.v):
@@ -309,7 +309,7 @@ def adam_step_per_param(state, params):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + nn.ADAM_EPS)
         p.grad.fill(0.0)
 
 

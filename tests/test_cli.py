@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metadapt.cli import _coerce_config, main
+from metadapt.cli import _CONFIG_DEFAULTS, _coerce_config, main
 from metadapt.corpus import load_embeddings, load_jsonl_dataset, split_classes
 from metadapt.harness import save_checkpoint
 from metadapt.model import DiscriminatorParams, GeneratorParams, ModelConfig
@@ -18,6 +19,16 @@ def synth_dir(tmp_path_factory):
                "--dim", "8", "--seed", "0"])
     assert rc == 0
     return out
+
+
+def untrained_checkpoint(path, **flags):
+    """A checkpoint of initial weights for ``synth_dir``'s 8-dimensional
+    vectors, with ``max_len=8``."""
+    cfg = ModelConfig(dim=8, hidden=4, max_len=8, disc_hidden=(8, 6), **flags)
+    rng = np.random.default_rng(0)
+    save_checkpoint(path, GeneratorParams.init(cfg, rng),
+                    DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng), cfg)
+    return path
 
 
 class TestSynth:
@@ -120,13 +131,7 @@ class TestTrainEval:
         # both checkpoints have max_len=8, so the model never reads a 9th token
         checkpoint = trained_dir / "checkpoint.json"
         if variant == "concat_fusion":
-            cfg = ModelConfig(dim=8, hidden=4, concat_fusion=True, max_len=8,
-                              disc_hidden=(8, 6))
-            rng = np.random.default_rng(0)
-            checkpoint = tmp_path / "concat.json"
-            save_checkpoint(checkpoint, GeneratorParams.init(cfg, rng),
-                            DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng),
-                            cfg)
+            checkpoint = untrained_checkpoint(tmp_path / "concat.json", concat_fusion=True)
 
         def dump(words):
             assert main(["dump-attention", "--checkpoint", str(checkpoint),
@@ -138,6 +143,19 @@ class TestTrainEval:
         out = dump(words)
         assert [line.split("\t")[0] for line in out.splitlines()] == words[:8]
         assert out == dump(words[:8])
+
+    @pytest.mark.parametrize("embeddings", ["embeddings.vec", "absent.vec"])
+    def test_dump_attention_refuses_plain_encoder(self, embeddings, synth_dir, tmp_path,
+                                                  capsys):
+        # refused once the checkpoint loads, before the embeddings are read
+        checkpoint = untrained_checkpoint(tmp_path / "plain.json", no_adversarial=True)
+        rc = main(["dump-attention", "--checkpoint", str(checkpoint),
+                   "--embeddings", str(synth_dir / embeddings), "--text", "kw0_0 w1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ("data error: the plain-encoder ablation produces "
+                                "no attention weights\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("seed", [2, 4])
     def test_small_class_warned_once(self, seed, tmp_path, caplog):
@@ -283,6 +301,21 @@ class TestExitCodes:
         assert "data error: train split: source pool" in capsys.readouterr().err
         assert not (out / "split.json").exists()
 
+    def test_readme_lists_config_defaults(self):
+        # README's "Keys and defaults" list states each default as the config
+        # table does, in value and type; a key without a value defaults to None
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        listed = {}
+        for item in readme.split("Keys and defaults:", 1)[1].split("`")[1].split():
+            keys, _, text = item.partition("=")
+            try:
+                value = json.loads(text) if text else None
+            except json.JSONDecodeError:
+                value = text
+            listed.update(dict.fromkeys(keys.split("/"), value))
+        assert ({k: (v, type(v)) for k, v in listed.items()}
+                == {k: (v, type(v)) for k, v in _CONFIG_DEFAULTS.items()})
+
     def test_config_values_coerced(self):
         cfg = _coerce_config({"concat_fusion": 1, "no_adversarial": "off", "epochs": "3",
                               "lam": 2, "lr": "0.5", "source_excludes": "current"})
@@ -417,7 +450,8 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("key, value", [
         ("dim", "8"), ("hidden", 4.9), ("hidden", True), ("max_len", 8.5), ("lam", True),
         ("lam", "0.5"), ("no_adversarial", "false"), ("concat_fusion", 0),
-        ("disc_hidden", "86"), ("disc_hidden", [8.0, 6]), ("disc_hidden", [8, 6, 1])])
+        ("disc_hidden", "86"), ("disc_hidden", [8.0, 6]), ("disc_hidden", [8, 6, 1]),
+        ("hiden", 64)])
     def test_bad_config_value_names_key(self, key, value, synth_dir, trained_dir, tmp_path,
                                         capsys):
         payload = json.loads((trained_dir / "checkpoint.json").read_text())

@@ -106,6 +106,17 @@ class TestTrain:
         with open(tmp_path / "metrics.jsonl") as fh:
             assert sum(1 for _ in fh) == 4
 
+    def test_early_stop_from_val_accuracies(self, monkeypatch):
+        # a tie is no improvement; patience counts epochs since the best one
+        accs = iter([0.5, 0.7, 0.7, 0.6, 0.9, 0.8, 0.9, 0.1, 1.0, 1.0])
+        monkeypatch.setattr(harness, "evaluate_episodes", lambda *args: [next(accs)])
+        ds, table, vocab, split, spec, mcfg = small_setup()
+        cfg = TrainConfig(spec=spec, epochs=10, episodes_per_epoch=1, patience=3,
+                          val_episodes=1)
+        res = train(ds, split, cfg, mcfg, table)
+        assert res.val_accuracies == [0.5, 0.7, 0.7, 0.6, 0.9, 0.8, 0.9, 0.1]
+        assert (res.best_epoch, res.best_val_accuracy, res.epochs_run) == (4, 0.9, 8)
+
     def test_split_json_written(self, tmp_path):
         ds, table, vocab, split, spec, mcfg = small_setup()
         cfg = TrainConfig(spec=spec, epochs=1, episodes_per_epoch=1, val_episodes=1)
@@ -389,6 +400,9 @@ class TestCheckpoint:
 
 
 class TestCheckpointContainer:
+    def test_config_types_cover_model_config(self):
+        assert harness._CONFIG_TYPES.keys() == {f.name for f in dataclasses.fields(ModelConfig)}
+
     def test_round_trip_bit_exact(self, tmp_path):
         mcfg = variant_cfg("default")
         rng = np.random.default_rng(19)

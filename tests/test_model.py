@@ -803,7 +803,7 @@ class TestEpisodePhases:
         items = zip(episode.support_indices + episode.query_indices,
                     episode.support + episode.query)
         features = {i: encode(ex, gen, table, cfg) for i, (ex, _) in items}
-        features[episode.support_indices[0]] = np.full(cfg.feature_dim, np.nan)
+        features[episode.support_indices[0]] = np.full(cfg.encoder_dim + 1, np.nan)
         with pytest.raises(nn.NumericalError):
             episode_scores([episode], features, cfg.lam)
 
