@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error or an output that cannot be written,
+2 data error, 3 numerical failure.
 A data error is an unreadable or malformed input, or a config or episode
 shape that the corpus cannot serve; ``train``, ``eval`` and
 ``sample-episodes`` refuse both before any output.
@@ -339,7 +340,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # every input loader raises DataError, so an OSError is an output
+        # that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -45,9 +45,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
 
 @dataclass(frozen=True)
 class EmbeddingTable:
@@ -256,17 +253,15 @@ def load_embeddings(path, vocab: Vocab) -> EmbeddingTable:
     return EmbeddingTable(matrix=matrix, dim=dim, oov_count=oov)
 
 
-def write_corpus_files(dataset: Dataset, table: EmbeddingTable, out_dir,
-                       text_field: str = "text", label_field: str = "label"):
+def write_corpus_files(dataset: Dataset, table: EmbeddingTable, out_dir):
     """Write a dataset as corpus.jsonl + embeddings.vec, the formats
-    load_jsonl_dataset and load_embeddings read."""
+    load_jsonl_dataset (with its default fields) and load_embeddings read."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
         for ex in dataset.examples:
             text = " ".join(dataset.vocab.tokens[i] for i in ex.token_ids)
-            fh.write(json.dumps({text_field: text,
-                                 label_field: dataset.label_names[ex.label]}) + "\n")
+            fh.write(json.dumps({"text": text, "label": dataset.label_names[ex.label]}) + "\n")
     with open(out / "embeddings.vec", "w", encoding="utf-8") as fh:
         fh.write(f"{len(dataset.vocab)} {table.dim}\n")
         for i, tok in enumerate(dataset.vocab.tokens):

@@ -99,13 +99,6 @@ class EvalReport:
                 "total_episodes": len(self.per_episode)}
 
 
-def sample_eval_episodes(dataset: Dataset, classes, spec: EpisodeSpec, n_episodes: int,
-                         rng: np.random.Generator) -> list[Episode]:
-    """``n_episodes`` evaluation episodes (no source set) drawn in order from ``rng``."""
-    return [sample_episode(dataset, classes, spec, rng, with_source=False)
-            for _ in range(n_episodes)]
-
-
 def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
                       episodes) -> list[float]:
     """Per-episode query accuracies of already sampled episodes of one shape,
@@ -179,9 +172,9 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
     init_rng = np.random.default_rng(s_init)
     train_rng = np.random.default_rng(s_train)
     # the same validation episodes every epoch, so accuracies are comparable
-    val_episodes = sample_eval_episodes(dataset, split.val_classes, cfg.spec,
-                                        cfg.val_episodes,
-                                        np.random.default_rng(s_val.generate_state(1)[0]))
+    val_rng = np.random.default_rng(s_val.generate_state(1)[0])
+    val_episodes = [sample_episode(dataset, split.val_classes, cfg.spec, val_rng,
+                                   with_source=False) for _ in range(cfg.val_episodes)]
 
     gen = GeneratorParams.init(model_cfg, init_rng)
     disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, init_rng)
@@ -305,9 +298,8 @@ def meta_test(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     check_classes(dataset, test_classes, spec)
-    episodes = [ep for seed in seeds
-                for ep in sample_eval_episodes(dataset, test_classes, spec, n_episodes,
-                                               np.random.default_rng(seed))]
+    episodes = [sample_episode(dataset, test_classes, spec, rng, with_source=False)
+                for rng in map(np.random.default_rng, seeds) for _ in range(n_episodes)]
     arr = np.asarray(evaluate_episodes(gen, cfg, table, episodes))
     n = arr.size
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
@@ -444,6 +436,19 @@ def _read_model_config(d: dict) -> ModelConfig:
     return ModelConfig(**{**d, "disc_hidden": tuple(d["disc_hidden"])})
 
 
+def _read_array(spec: dict) -> np.ndarray:
+    """An array as ``save_checkpoint`` writes it: ``data`` a flat list of
+    numbers and ``shape`` non-negative integers that it fills.  Strings,
+    booleans or nested lists in ``data``, or a -1 in ``shape``, which
+    reshape would infer, raise ValueError."""
+    data, shape = np.array(spec["data"]), spec["shape"]
+    if data.ndim != 1 or data.dtype.kind not in "iuf" or (
+            {type(n) for n in shape} - {int} or min(shape, default=0) < 0):
+        raise ValueError(f"need flat numeric data and a non-negative integer shape, "
+                         f"got {data.ndim}-d {data.dtype} data and shape {shape!r}")
+    return data.astype(np.float64, copy=False).reshape(shape)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (gen, disc, model_cfg), the parameters
     built for the stored config.  Every fault in the container, its arrays
@@ -463,7 +468,7 @@ def load_checkpoint(path):
     arrays = payload.get("arrays", {})
     for name, spec in arrays.items():   # each list becomes an array in place
         try:
-            arrays[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+            arrays[name] = _read_array(spec)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed array {name}: {exc!r}") from None
     try:

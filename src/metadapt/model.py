@@ -144,28 +144,23 @@ def with_bias(feat) -> np.ndarray:
     return np.concatenate([feat, np.ones(feat.shape[:-1] + (1,))], axis=-1)
 
 
-def _embed_batch(examples, table: EmbeddingTable):
-    """Word vectors of a batch as a time-major padded X (T, B, d), each
-    sentence from t = 0 and zero-padded at its end, and the lengths (B,)."""
-    lengths = np.array([len(ex.token_ids) for ex in examples], dtype=np.intp)
-    if lengths.size == 0:
-        raise ValueError("no sentences to encode")
-    X = np.zeros((lengths.max(), lengths.size, table.dim))
-    for b, ex in enumerate(examples):
-        X[:lengths[b], b] = embed_sentence(ex, table).T
-    return X, lengths
-
-
 def _valid(lengths, T: int) -> np.ndarray:
     """(B, T) mask of the positions that hold a token."""
     return np.arange(T)[None, :] < lengths[:, None]
 
 
 def _encoder_inputs(examples, table: EmbeddingTable):
-    """Word vectors X (T, B, d) and lengths of a batch, the vectors E (U, d)
-    of its distinct tokens, and each position's row (T, B) in E; padded
-    positions get row U, the padding row of the projection tables."""
-    X, lengths = _embed_batch(examples, table)
+    """Word vectors of a batch as a time-major padded X (T, B, d), each
+    sentence from t = 0 and zero-padded at its end, its lengths (B,), the
+    vectors E (U, d) of its distinct tokens, and each position's row (T, B)
+    in E; padded positions get row U, the padding row of the projection
+    tables."""
+    lengths = np.array([len(ex.token_ids) for ex in examples], dtype=np.intp)
+    if lengths.size == 0:
+        raise ValueError("no sentences to encode")
+    X = np.zeros((lengths.max(), lengths.size, table.dim))
+    for b, ex in enumerate(examples):
+        X[:lengths[b], b] = embed_sentence(ex, table).T
     vocab, inverse = np.unique(np.concatenate([ex.token_ids for ex in examples]),
                                return_inverse=True)
     rows = np.full(X.shape[:2], vocab.size, dtype=np.intp)
@@ -341,15 +336,6 @@ class EpisodeForward:
     query_labels: np.ndarray
     n_way: int
 
-    @property
-    def support(self) -> np.ndarray:
-        return self.feats[:len(self.support_labels)]
-
-    @property
-    def query(self) -> np.ndarray:
-        ns = len(self.support_labels)
-        return self.feats[ns:ns + len(self.query_labels)]
-
 
 @dataclass
 class EpisodeMetrics:
@@ -377,7 +363,7 @@ def episode_forward(episode: Episode, gen: GeneratorParams, cfg: ModelConfig,
 
 def fit_episode_classifier(fwd: EpisodeForward, lam: float):
     """Phase 1: closed-form ridge fit on the support set; returns (clf, loss)."""
-    X = with_bias(fwd.support)
+    X = with_bias(fwd.feats[:len(fwd.support_labels)])
     Y = nn.one_hot(fwd.support_labels, fwd.n_way)
     clf = ridge_fit(X, Y, lam)
     return clf, ridge_loss(X, Y, clf)
@@ -392,27 +378,13 @@ def _domain_batch(fwd: EpisodeForward):
     return x, np.repeat(np.arange(2), [nq, len(x) - nq])
 
 
-def _score_query(fwd: EpisodeForward, clf: RidgeClassifier):
-    """Ridge scores of the query set (one row per query) and its accuracy."""
-    scores = ridge_predict(clf, with_bias(fwd.query))
-    correct = int((np.argmax(scores, axis=1) == fwd.query_labels).sum())
-    return scores, correct / len(fwd.query_labels)
-
-
 def discriminator_loss_and_grads(fwd: EpisodeForward, disc: DiscriminatorParams) -> float:
-    """Domain loss over the episode's query+source embeddings, with analytic
-    gradients accumulated into the discriminator (generator held fixed)."""
+    """Phase 2 objective: the domain loss over the episode's query+source
+    embeddings, with analytic gradients accumulated into the discriminator
+    (generator held fixed)."""
     disc.grads.fill(0.0)
     loss, dlogits, acts = domain_loss(*_domain_batch(fwd), disc)
     nn.ffn_backward(dlogits, acts, disc.layers)
-    return loss
-
-
-def update_discriminator(fwd: EpisodeForward, disc: DiscriminatorParams,
-                         opt: AdamState) -> float:
-    """Phase 2: one Adam step on the discriminator's domain loss."""
-    loss = discriminator_loss_and_grads(fwd, disc)
-    nn.adam_step(opt, disc.values, disc.grads)
     return loss
 
 
@@ -422,10 +394,11 @@ def generator_loss_and_grads(fwd: EpisodeForward, clf: RidgeClassifier,
     """Phase 3 objective and gradients into the generator (theta and the
     discriminator held fixed).  Returns (loss, query accuracy)."""
     gen.grads.fill(0.0)
-    scores, acc = _score_query(fwd, clf)
+    ns, nq = len(fwd.support_labels), len(fwd.query_labels)
+    scores = ridge_predict(clf, with_bias(fwd.feats[ns:ns + nq]))
+    acc = int((np.argmax(scores, axis=1) == fwd.query_labels).sum()) / nq
     loss, dscores = nn.softmax_cross_entropy(scores, fwd.query_labels)
     # support rows get no gradient: theta is held fixed
-    ns, nq = len(fwd.support_labels), len(fwd.query_labels)
     dfeats = np.zeros_like(fwd.feats)
     dfeats[ns:ns + nq] = dscores @ clf.theta[:-1].T
     if not cfg.no_adversarial:
@@ -434,15 +407,6 @@ def generator_loss_and_grads(fwd: EpisodeForward, clf: RidgeClassifier,
         # minus sign: the generator maximizes the discriminator's loss
         dfeats[ns:] += nn.ffn_backward(-dlogits, acts, disc.layers, update_grads=False)
     gen_backward(dfeats, fwd.cache, gen, cfg)
-    return loss, acc
-
-
-def update_generator(fwd: EpisodeForward, clf: RidgeClassifier,
-                     gen: GeneratorParams, disc: DiscriminatorParams,
-                     cfg: ModelConfig, opt: AdamState):
-    """Phase 3: one Adam step on the generator's objective."""
-    loss, acc = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
-    nn.adam_step(opt, gen.values, gen.grads)
     return loss, acc
 
 
@@ -462,8 +426,10 @@ def episode_update(episode: Episode, gen: GeneratorParams, disc: DiscriminatorPa
     clf, l_rr = fit_episode_classifier(fwd, cfg.lam)
     l_d = 0.0
     if not cfg.no_adversarial:
-        l_d = update_discriminator(fwd, disc, opt_disc)
-    l_g, acc = update_generator(fwd, clf, gen, disc, cfg, opt_gen)
+        l_d = discriminator_loss_and_grads(fwd, disc)
+        nn.adam_step(opt_disc, disc.values, disc.grads)
+    l_g, acc = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
+    nn.adam_step(opt_gen, gen.values, gen.grads)
     return EpisodeMetrics(ridge_loss=l_rr, disc_loss=l_d, gen_loss=l_g, query_accuracy=acc)
 
 

@@ -16,11 +16,11 @@ from metadapt.corpus import gen_synthetic_corpus, keyword_token_ids, split_class
 from metadapt.episodes import EpisodeSpec, relabel, sample_episode
 from metadapt.harness import TrainConfig, meta_test, run_gradient_checks, train
 from metadapt.model import (DiscriminatorParams, GeneratorParams, ModelConfig,
-                            RidgeClassifier, attention_weights, domain_loss,
+                            RidgeClassifier, attention_weights,
+                            discriminator_loss_and_grads, domain_loss,
                             episode_forward, fit_episode_classifier,
-                            ridge_fit, update_discriminator,
-                            update_generator)
-from metadapt.nn import AdamState, softmax_cross_entropy
+                            generator_loss_and_grads, ridge_fit)
+from metadapt.nn import AdamState, adam_step, softmax_cross_entropy
 from oracles import params_digest, ridge_grad
 
 LN2 = 0.6931471805599453
@@ -177,13 +177,15 @@ def test_criterion_4_phase_isolation(setup):
             violations += 1
         theta0 = clf.theta.copy()
 
-        update_discriminator(fwd, disc, opt_d)
+        discriminator_loss_and_grads(fwd, disc)
+        adam_step(opt_d, disc.values, disc.grads)
         d1 = params_digest(disc.params())
         if params_digest(gen.params()) != g0 or d1 == d0 \
                 or not np.array_equal(clf.theta, theta0):
             violations += 1
 
-        update_generator(fwd, clf, gen, disc, s.model_cfg, opt_g)
+        generator_loss_and_grads(fwd, clf, gen, disc, s.model_cfg)
+        adam_step(opt_g, gen.values, gen.grads)
         if params_digest(disc.params()) != d1 or params_digest(gen.params()) == g0 \
                 or not np.array_equal(clf.theta, theta0):
             violations += 1

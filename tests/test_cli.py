@@ -195,6 +195,25 @@ class TestExitCodes:
         rc = main(["sample-episodes", "--data", str(tmp_path / "absent.jsonl")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["train", "synth", "dump-attention"])
+    def test_unwritable_output_usage_error(self, command, synth_dir, trained_dir, tmp_path,
+                                           capsys):
+        # an output below a regular file, whose directory cannot be made
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / ("x.tsv" if command == "dump-attention" else "run")
+        args = {"train": ["--data", str(synth_dir / "corpus.jsonl"),
+                          "--embeddings", str(synth_dir / "embeddings.vec"),
+                          "--config", str(trained_dir / "config.txt")],
+                "synth": [],
+                "dump-attention": ["--checkpoint", str(trained_dir / "checkpoint.json"),
+                                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                                   "--text", "w0 w1"]}[command]
+        rc = main([command, *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(out) in err
+
     def test_data_error_unknown_config_key(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "c.txt"
         config.write_text("bogus_key=1\n")

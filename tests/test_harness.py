@@ -17,7 +17,7 @@ from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt import harness
 from metadapt.harness import (TrainConfig, dump_attention, dump_embeddings,
                               evaluate_episodes, load_checkpoint, meta_test,
-                              sample_eval_episodes, save_checkpoint, train)
+                              save_checkpoint, train)
 from metadapt.model import (DiscriminatorParams, EpisodeMetrics,
                             GeneratorParams, ModelConfig, encode)
 from metadapt.nn import NumericalError
@@ -443,7 +443,17 @@ class TestCheckpointContainer:
                             ('{"format_version": 1, "arrays": {"a": {"shape": [2]}}}',
                              "malformed array a"),
                             ('{"format_version": 1, "arrays": {"a": {"shape": [2], '
-                             '"data": [1.0, 2.0, 3.0]}}}', "malformed array a")):
+                             '"data": [1.0, 2.0, 3.0]}}}', "malformed array a"),
+                            # data that is not a flat list of numbers, and a
+                            # shape that reshape would infer
+                            ('{"format_version": 1, "arrays": {"a": {"shape": [2], '
+                             '"data": ["0.5", "1"]}}}', "malformed array a"),
+                            ('{"format_version": 1, "arrays": {"a": {"shape": [2], '
+                             '"data": [true, true]}}}', "malformed array a"),
+                            ('{"format_version": 1, "arrays": {"a": {"shape": [2], '
+                             '"data": [[0.5], [1.0]]}}}', "malformed array a"),
+                            ('{"format_version": 1, "arrays": {"a": {"shape": [-1], '
+                             '"data": [0.5, 1.0]}}}', "malformed array a")):
             path.write_text(text)
             with pytest.raises(DataError, match=match):
                 load_checkpoint(path)
@@ -459,8 +469,9 @@ class TestEvaluateEpisodes:
     def test_matches_meta_test_single_seed(self):
         ds, table, vocab, split, spec, mcfg = small_setup()
         gen = GeneratorParams.init(mcfg, np.random.default_rng(10))
-        episodes = sample_eval_episodes(ds, split.test_classes, spec, 6,
-                                        np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        episodes = [sample_episode(ds, split.test_classes, spec, rng, with_source=False)
+                    for _ in range(6)]
         accs = evaluate_episodes(gen, mcfg, table, episodes)
         rep = meta_test(gen, mcfg, table, ds, split.test_classes, spec,
                         n_episodes=6, seeds=(42,))

@@ -11,14 +11,13 @@ from metadapt.corpus import (EmbeddingTable, Example, Vocab, embed_sentence,
                              gen_synthetic_corpus, make_dataset, split_classes)
 from metadapt.episodes import EpisodeSpec, sample_episode
 from metadapt.harness import TrainConfig, _tiny_instance, train
-from metadapt.model import (DiscriminatorParams, EpisodeForward, GeneratorParams,
-                            ModelConfig, RidgeClassifier, attention_weights,
+from metadapt.model import (DiscriminatorParams, EpisodeForward, EpisodeMetrics,
+                            GeneratorParams, ModelConfig, RidgeClassifier, attention_weights,
                             discriminator_loss_and_grads, domain_loss, encode,
                             episode_accuracy, episode_forward, episode_scores,
                             episode_update, fit_episode_classifier, gen_backward,
                             gen_forward, generator_loss_and_grads, ridge_fit,
-                            ridge_loss, ridge_predict, update_discriminator,
-                            update_generator, with_bias)
+                            ridge_loss, ridge_predict, with_bias)
 from metadapt.nn import AdamState, LstmParams
 import oracles
 from oracles import (assert_views, cross_entropy, disc_loss, discriminate, fuse,
@@ -679,13 +678,15 @@ class TestEpisodePhases:
         assert params_digest(disc.params()) == d0
         assert math.isfinite(l_rr)
 
-        l_d = update_discriminator(fwd, disc, opt_d)
+        l_d = discriminator_loss_and_grads(fwd, disc)
+        nn.adam_step(opt_d, disc.values, disc.grads)
         assert params_digest(gen.params()) == g0
         d1 = params_digest(disc.params())
         assert d1 != d0
         theta_before = clf.theta.copy()
 
-        l_g, acc = update_generator(fwd, clf, gen, disc, cfg, opt_g)
+        l_g, acc = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
+        nn.adam_step(opt_g, gen.values, gen.grads)
         assert params_digest(disc.params()) == d1
         assert params_digest(gen.params()) != g0
         assert np.array_equal(clf.theta, theta_before)
@@ -719,6 +720,43 @@ class TestEpisodePhases:
                 m1 = m
             else:
                 assert m == m1
+
+    @pytest.mark.parametrize("variant", ["default", "no_adversarial", "concat_fusion"])
+    def test_episode_update_is_the_phase_sequence(self, variant):
+        # encode, ridge fit, discriminator step, then the generator's step
+        # against the updated discriminator: bitwise the same as these calls
+        episode, _, _, cfg, table = self.make(seed=4)
+        cfg = dataclasses.replace(cfg, **({} if variant == "default" else {variant: True}))
+
+        def explicit(gen, disc, opt_g, opt_d):
+            fwd = episode_forward(episode, gen, cfg, table)
+            clf, l_rr = fit_episode_classifier(fwd, cfg.lam)
+            l_d = 0.0
+            if not cfg.no_adversarial:
+                l_d = discriminator_loss_and_grads(fwd, disc)
+                nn.adam_step(opt_d, disc.values, disc.grads)
+            l_g, acc = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
+            nn.adam_step(opt_g, gen.values, gen.grads)
+            return EpisodeMetrics(ridge_loss=l_rr, disc_loss=l_d, gen_loss=l_g,
+                                  query_accuracy=acc)
+
+        def run(update):
+            rng = np.random.default_rng(4)
+            gen = GeneratorParams.init(cfg, rng)
+            disc = DiscriminatorParams.init(cfg.encoder_dim, cfg.disc_hidden, rng)
+            opts = AdamState(lr=1e-2), AdamState(lr=1e-2)
+            metrics = [update(gen, disc, *opts) for _ in range(2)]
+            moments = [(o.t, None if o.m is None else (o.m.tobytes(), o.v.tobytes()))
+                       for o in opts]
+            return metrics, gen.values.tobytes(), disc.values.tobytes(), moments
+
+        def update(gen, disc, opt_g, opt_d):
+            return episode_update(episode, gen, disc, cfg, table, opt_g, opt_d)
+
+        want = run(explicit)
+        assert run(update) == want
+        # two steps of each optimizer the variant trains
+        assert [t for t, _ in want[3]] == [2, 0 if cfg.no_adversarial else 2]
 
     def test_no_adversarial_skips_discriminator(self):
         episode, gen, disc, cfg, table = self.make(seed=3)

@@ -65,6 +65,13 @@ def test_traced_train_and_meta_test(tmp_path):
     spans = ReadNames(tracer)
     assert res.epochs_run == 2 and len(rep.per_episode) == 10
     assert spans.count("model.episode_update") == 2 * 3
+    # each phase is a direct call of episode_update, so its own span; the
+    # update's self time is what lies between them
+    update = spans.where("model.episode_update")[0]
+    assert [spans.name[i] for i, p in enumerate(spans.parent) if p == update] == [
+        "model.episode_forward", "model.fit_episode_classifier",
+        "model.discriminator_loss_and_grads", "nn.adam_step",
+        "model.generator_loss_and_grads", "nn.adam_step"]
     # one scoring span per evaluated episode: validation and meta-test
     assert spans.count("model.episode_accuracy") == 2 * 4 + 10
     spans.read.clear()
