@@ -20,8 +20,8 @@ import numpy as np
 
 from . import harness
 from .corpus import (DataError, Vocab, gen_synthetic_corpus, keyword_token_ids,
-                     load_embeddings, load_jsonl_dataset, make_dataset, split_classes,
-                     tokenize, write_corpus_files)
+                     load_embeddings, load_jsonl_dataset, make_dataset, read_utf8,
+                     split_classes, tokenize, write_corpus_files)
 from .episodes import EpisodeSpec, check_classes, sample_episode
 from .harness import TrainConfig
 from .model import ModelConfig
@@ -42,10 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_config_file(path) -> dict:
     """Config as JSON or key=value lines."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open config {path}: {exc}") from None
+    text = read_utf8(path, "config")
     text_stripped = text.strip()
     if text_stripped.startswith("{"):
         try:
@@ -341,8 +338,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
-        # every input loader raises DataError, so an OSError is an output
-        # that cannot be written
+        # every input loader turns a file it cannot open, decode or parse
+        # into a DataError, so an OSError here is an output that cannot be
+        # written and a ValueError an argument the command cannot serve
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

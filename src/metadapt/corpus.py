@@ -27,6 +27,41 @@ class DataError(Exception):
     """Malformed or missing input data."""
 
 
+def read_utf8(path, what: str) -> str:
+    """The whole of a UTF-8 text file; a file that cannot be read or decoded
+    raises DataError naming it, and the line of the first byte that does
+    not decode."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: {exc}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw[:exc.start].count(b"\n") + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+
+
+def _text_lines(path, what: str):
+    """(line number, line) of a UTF-8 text file, counted from 1 as text-mode
+    iteration breaks lines; a file that cannot be opened or decoded raises
+    DataError naming it, and the first line that does not decode."""
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: {exc}") from None
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                # a byte that does not decode was read as a lone surrogate,
+                # which turns back into that byte and fails again
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+            yield lineno, line
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Unique token strings with contiguous 0-based ids."""
@@ -140,43 +175,37 @@ def load_jsonl_dataset(path, label_field: str = "label", text_field: str = "text
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open dataset {path}: {exc}") from None
-
     token_index: dict[str, int] = {}
     token_list: list[str] = []
     label_ids: dict[str, int] = {}
     label_names: list[str] = []
     parsed: list[tuple[tuple[int, ...], int]] = []
     skipped = 0
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict) or label_field not in obj or text_field not in obj:
-                raise DataError(
-                    f"{path}:{lineno}: object missing field '{label_field}' or '{text_field}'")
-            toks = tokenize(str(obj[text_field]))[:max_len]
-            if not toks:
-                skipped += 1
-                continue
-            label = str(obj[label_field])
-            if label not in label_ids:
-                label_ids[label] = len(label_names)
-                label_names.append(label)
-            ids = []
-            for t in toks:
-                if t not in token_index:
-                    token_index[t] = len(token_list)
-                    token_list.append(t)
-                ids.append(token_index[t])
-            parsed.append((tuple(ids), label_ids[label]))
+    for lineno, line in _text_lines(path, "dataset"):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict) or label_field not in obj or text_field not in obj:
+            raise DataError(
+                f"{path}:{lineno}: object missing field '{label_field}' or '{text_field}'")
+        toks = tokenize(str(obj[text_field]))[:max_len]
+        if not toks:
+            skipped += 1
+            continue
+        label = str(obj[label_field])
+        if label not in label_ids:
+            label_ids[label] = len(label_names)
+            label_names.append(label)
+        ids = []
+        for t in toks:
+            if t not in token_index:
+                token_index[t] = len(token_list)
+                token_list.append(t)
+            ids.append(token_index[t])
+        parsed.append((tuple(ids), label_ids[label]))
     if skipped:
         logger.warning("%s: skipped %d line(s) with empty text after tokenization",
                        path, skipped)
@@ -203,42 +232,36 @@ def load_embeddings(path, vocab: Vocab) -> EmbeddingTable:
     consistent dimension; numeric values are only parsed for tokens the
     vocabulary actually uses.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open embedding file {path}: {exc}") from None
-
     dim = None
     rows: dict[int, np.ndarray] = {}
-    with fh:
-        first = True
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
+    first = True
+    for lineno, line in _text_lines(path, "embedding file"):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if first:
+            first = False
+            if _is_header(parts):
+                dim = int(parts[1])
+                if dim <= 0:
+                    raise DataError(f"{path}: header declares dimension {dim}")
                 continue
-            if first:
-                first = False
-                if _is_header(parts):
-                    dim = int(parts[1])
-                    if dim <= 0:
-                        raise DataError(f"{path}: header declares dimension {dim}")
-                    continue
-            token, vals = parts[0], parts[1:]
-            if dim is None:
-                dim = len(vals)
-                if dim == 0:
-                    raise DataError(f"{path}:{lineno}: no values for token '{token}'")
-            elif len(vals) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: dimension mismatch for token '{token}': "
-                    f"got {len(vals)}, expected {dim}")
-            tid = vocab.index.get(token)
-            if tid is None or tid in rows:
-                continue
-            try:
-                rows[tid] = np.array([float(v) for v in vals], dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value for token '{token}'") from None
+        token, vals = parts[0], parts[1:]
+        if dim is None:
+            dim = len(vals)
+            if dim == 0:
+                raise DataError(f"{path}:{lineno}: no values for token '{token}'")
+        elif len(vals) != dim:
+            raise DataError(
+                f"{path}:{lineno}: dimension mismatch for token '{token}': "
+                f"got {len(vals)}, expected {dim}")
+        tid = vocab.index.get(token)
+        if tid is None or tid in rows:
+            continue
+        try:
+            rows[tid] = np.array([float(v) for v in vals], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric value for token '{token}'") from None
     if dim is None:
         raise DataError(f"{path}: empty embedding file")
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
@@ -350,6 +373,12 @@ def embed_sentence(example: Example, table: EmbeddingTable) -> np.ndarray:
     ids = np.asarray(example.token_ids, dtype=np.intp)
     if ids.size == 0:
         raise ValueError("cannot embed an empty example")
+    check_token_ids(ids, table)
+    return np.ascontiguousarray(table.matrix[ids].T)
+
+
+def check_token_ids(ids: np.ndarray, table: EmbeddingTable) -> None:
+    """Raise ValueError unless every id of the non-empty array is a row of
+    the table."""
     if ids.min() < 0 or ids.max() >= table.matrix.shape[0]:
         raise ValueError("token id out of range for embedding table")
-    return np.ascontiguousarray(table.matrix[ids].T)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model, nn
 from .corpus import (ClassSplit, DataError, Dataset, EmbeddingTable, Example, Vocab,
-                     make_dataset)
+                     make_dataset, read_utf8)
 from .episodes import Episode, EpisodeSpec, check_classes, sample_episode
 from .model import DiscriminatorParams, EpisodeMetrics, GeneratorParams, ModelConfig
 from .nn import AdamState, NumericalError
@@ -99,6 +99,19 @@ class EvalReport:
                 "total_episodes": len(self.per_episode)}
 
 
+# Evaluation batches hold EVAL_BATCH_FACTOR times the sentences of a training
+# batch.  Per padded position, a forward-only pass holds each direction's
+# states (H each) and the contextual states built from them (2H), plus a
+# reversed copy of the backward states (H) while it builds them: at most 5H
+# doubles.  It makes no padded word vectors; each sentence's word vectors
+# are gathered on their own while it is fused.  A split training update
+# holds 2d + 17H per position (the d + 14H BPTT cache, the reversed input
+# copy, d, and the output gradients, 3H), at least 3.4 times as much at any
+# d, so at the same padded length such a batch holds less than one update;
+# 3 leaves room for the per-token tables and the features.
+EVAL_BATCH_FACTOR = 3
+
+
 def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTable,
                       episodes) -> list[float]:
     """Per-episode query accuracies of already sampled episodes of one shape,
@@ -106,17 +119,18 @@ def evaluate_episodes(gen: GeneratorParams, cfg: ModelConfig, table: EmbeddingTa
 
     The call's distinct examples are encoded once each, in first-seen
     order and forward only (``gen_forward(..., cache=False)`` keeps nothing
-    for BPTT).  Its batches hold at most the sentences one training episode
-    of the same shape encodes in its single pass, N(K+2L) with the source
-    set or N(K+L) under ``no_adversarial``, so no batch is larger than a
-    training batch.  The features (dataset index -> classifier input, bias
-    appended) live for this call only.  Every ridge head is then fit in one
-    stacked dual solve, and each episode is scored on its own.
+    for BPTT).  Its batches hold ``EVAL_BATCH_FACTOR`` times the sentences
+    one training episode of the same shape encodes in its single pass,
+    N(K+2L) with the source set or N(K+L) under ``no_adversarial``.  The
+    features (dataset index -> classifier input, bias appended) live for
+    this call only.  Every ridge head is then fit in one stacked dual
+    solve, and each episode is scored on its own.
     """
     if not episodes:
         return []
     first = episodes[0]
-    batch = len(first.support) + len(first.query) * (1 if cfg.no_adversarial else 2)
+    batch = EVAL_BATCH_FACTOR * (len(first.support)
+                                 + len(first.query) * (1 if cfg.no_adversarial else 2))
     examples: dict = {}   # dataset index -> example, in first-seen order
     for ep in episodes:
         examples.update(zip(ep.support_indices + ep.query_indices,
@@ -454,10 +468,7 @@ def load_checkpoint(path):
     built for the stored config.  Every fault in the container, its arrays
     or its config raises DataError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open checkpoint {path}: {exc}") from None
+        payload = json.loads(read_utf8(path, "checkpoint"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid checkpoint JSON: {exc.msg}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("arrays", {}), dict):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .corpus import EmbeddingTable, embed_sentence
+from .corpus import EmbeddingTable, check_token_ids, embed_sentence
 from .episodes import Episode
 from .nn import AdamState, LstmParams, Param
 
@@ -150,22 +150,25 @@ def _valid(lengths, T: int) -> np.ndarray:
 
 
 def _encoder_inputs(examples, table: EmbeddingTable):
-    """Word vectors of a batch as a time-major padded X (T, B, d), each
-    sentence from t = 0 and zero-padded at its end, its lengths (B,), the
-    vectors E (U, d) of its distinct tokens, and each position's row (T, B)
-    in E; padded positions get row U, the padding row of the projection
-    tables."""
+    """The vectors E (U, d) of a batch's distinct tokens, each position's
+    row (T, B) in E, each sentence from t = 0, and the lengths (B,);
+    padded positions get row U, the padding row of the projection tables.
+    An empty sentence or a token id outside the table raises ValueError."""
     lengths = np.array([len(ex.token_ids) for ex in examples], dtype=np.intp)
-    if lengths.size == 0:
-        raise ValueError("no sentences to encode")
-    X = np.zeros((lengths.max(), lengths.size, table.dim))
-    for b, ex in enumerate(examples):
-        X[:lengths[b], b] = embed_sentence(ex, table).T
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("no sentences to encode, or an empty one")
     vocab, inverse = np.unique(np.concatenate([ex.token_ids for ex in examples]),
                                return_inverse=True)
-    rows = np.full(X.shape[:2], vocab.size, dtype=np.intp)
-    rows.T[_valid(lengths, X.shape[0])] = inverse
-    return X, table.matrix[vocab], rows, lengths
+    check_token_ids(vocab, table)
+    rows = np.full((lengths.max(), lengths.size), vocab.size, dtype=np.intp)
+    rows.T[_valid(lengths, rows.shape[0])] = inverse
+    return table.matrix[vocab], rows, lengths
+
+
+def _padded(E, rows) -> np.ndarray:
+    """The batch's word vectors as a time-major X (T, B, d), zero at padded
+    positions: the input BPTT and the fusion's backward pass read."""
+    return np.concatenate([E, np.zeros((1, E.shape[1]))])[rows]
 
 
 def _attention(E, rows, lengths, gen: GeneratorParams, cache: bool = True):
@@ -184,33 +187,38 @@ def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: Mode
 
     The BiLSTM projects each of the batch's distinct tokens once per
     direction and gathers its inputs by token.  The default fuses each
-    sentence's word vectors with its attention weights, s = W k.
-    ``concat_fusion`` puts the weights, zero-padded to ``max_len``, before
-    the mean word vector.  ``no_adversarial`` projects the mean contextual
-    state back to word-vector width.  With ``cache=False`` the BiLSTM runs
-    forward only, the features are bitwise the same, and the cache
-    returned is None.
+    sentence's word matrix (``embed_sentence``) with its attention weights,
+    s = W k, one sentence at a time.  ``concat_fusion`` puts the weights,
+    zero-padded to ``max_len``, before the mean word vector.
+    ``no_adversarial`` projects the mean contextual state back to
+    word-vector width.  The padded word vectors X (T, B, d) are built for
+    the cache alone: with ``cache=False`` the BiLSTM runs forward only, no
+    X is made, the features are bitwise the same, and the cache returned is
+    None.
     """
-    X, E, rows, lengths = _encoder_inputs(examples, table)
-    T = X.shape[0]
+    E, rows, lengths = _encoder_inputs(examples, table)
+    T = rows.shape[0]
     if cfg.no_adversarial:
         H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
         H_ctx[~_valid(lengths, T).T] = 0.0
         hbar = H_ctx.sum(axis=0) / lengths[:, None]
         feats = hbar @ gen.proj_w.value.T + gen.proj_b.value
-        return feats, ((X, lengths, None, bc, hbar) if cache else None)
+        return feats, ((_padded(E, rows), lengths, None, bc, hbar) if cache else None)
     k, H_ctx, bc = _attention(E, rows, lengths, gen, cache)
     if cfg.concat_fusion:
         if T > cfg.max_len:
             raise ValueError(f"sentence length {T} exceeds max_len {cfg.max_len}")
         feats = np.zeros((lengths.size, cfg.encoder_dim))
         feats[:, :T] = k
-        feats[:, cfg.max_len:] = X.sum(axis=0) / lengths[:, None]
+        # summing a sentence's C-ordered (m, d) rows adds them in order and
+        # so rounds as a padded sum over time; a sum along the rows of a
+        # (d, m) matrix adds pairwise and rounds otherwise
+        feats[:, cfg.max_len:] = [E[rows[:m, b]].sum(axis=0) / m
+                                  for b, m in enumerate(lengths)]
     else:
-        # s = W k per sentence as a stack of matrix-vector products, which
-        # rounds as the per-sentence W @ k does
-        feats = np.matmul(np.ascontiguousarray(X.transpose(1, 2, 0)), k[:, :, None])[:, :, 0]
-    return feats, ((X, lengths, H_ctx, bc, k) if cache else None)
+        feats = np.stack([embed_sentence(ex, table) @ kb[:len(ex.token_ids)]
+                          for ex, kb in zip(examples, k)])
+    return feats, ((_padded(E, rows), lengths, H_ctx, bc, k) if cache else None)
 
 
 def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConfig):
@@ -247,7 +255,7 @@ def attention_weights(example, gen: GeneratorParams, table: EmbeddingTable,
     """Attention vector for one sentence (not available under no_adversarial)."""
     if cfg.no_adversarial:
         raise ValueError("the plain-encoder ablation produces no attention weights")
-    return _attention(*_encoder_inputs([example], table)[1:], gen, cache=False)[0][0]
+    return _attention(*_encoder_inputs([example], table), gen, cache=False)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,21 @@ def fuse_concat(W: np.ndarray, k: np.ndarray, max_len: int) -> np.ndarray:
     return np.concatenate([padded, W.mean(axis=1)])
 
 
+def fuse_padded(X: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """s = W k of every sentence of a time-major padded batch X (T, B, d)
+    with weights k (B, T), zero at padding, as one stacked matmul over a
+    transposed copy of X: the batched encoder's fusion before it fused each
+    sentence from its own word matrix."""
+    return np.matmul(np.ascontiguousarray(X.transpose(1, 2, 0)), k[:, :, None])[:, :, 0]
+
+
+def mean_padded(X: np.ndarray, lengths) -> np.ndarray:
+    """Each sentence's mean word vector from a padded batch X (T, B, d),
+    summed over time in order: the batched concat fusion's mean before it
+    formed one sentence at a time."""
+    return X.sum(axis=0) / lengths[:, None]
+
+
 def gen_forward(W: np.ndarray, gen, cfg):
     """Encoder feature for one sentence (pre-bias) plus backward cache."""
     if cfg.no_adversarial:

@@ -499,3 +499,44 @@ class TestMalformedCheckpoint:
         assert rc == 2
         assert "array gen.attn_w holds a non-finite weight" in captured.err
         assert captured.out == ""
+
+
+
+_READERS = {   # the command that reads each input first, as argv
+    "corpus": lambda f: ["sample-episodes", "--data", f["corpus"]],
+    "embeddings": lambda f: ["dump-attention", "--checkpoint", f["checkpoint"],
+                             "--embeddings", f["embeddings"], "--text", "w0 w1"],
+    "checkpoint": lambda f: ["eval", "--checkpoint", f["checkpoint"], "--data", f["corpus"],
+                             "--embeddings", f["embeddings"], "--n-episodes", "2",
+                             "--n-way", "2", "--k-shot", "1", "--l-query", "2"],
+    "config": lambda f: ["train", "--data", f["corpus"], "--embeddings", f["embeddings"],
+                         "--config", f["config"], "--out", f["out"]],
+}
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is a data error naming the file and the
+    first line that does not decode."""
+
+    @pytest.mark.parametrize("kind", sorted(_READERS))
+    def test_data_error_names_file_and_line(self, kind, synth_dir, trained_dir, tmp_path,
+                                            capsys):
+        files = {"corpus": synth_dir / "corpus.jsonl",
+                 "embeddings": synth_dir / "embeddings.vec",
+                 "checkpoint": trained_dir / "checkpoint.json",
+                 "config": trained_dir / "config.txt", "out": tmp_path / "run"}
+        raw = files[kind].read_bytes()
+        if kind == "checkpoint":   # one line; two bytes in its middle replaced
+            middle = len(raw) // 2
+            raw, lineno = raw[:middle] + b"\xff\xfe" + raw[middle + 2:], 1
+        else:                      # line 3 ends in a Latin-1 "\u00e9"
+            lines = raw.split(b"\n")
+            lines[2] += b" caf\xe9"
+            raw, lineno = b"\n".join(lines), 3
+        files[kind] = tmp_path / files[kind].name
+        files[kind].write_bytes(raw)
+        rc = main([str(arg) for arg in _READERS[kind](files)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"data error: {files[kind]}:{lineno}: not UTF-8 text: "
+                              "'utf-8' codec can't decode byte 0x")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metadapt import corpus
 from metadapt.corpus import (ClassSplit, DataError, Example, Vocab,
                              embed_sentence, gen_synthetic_corpus, load_embeddings,
                              load_jsonl_dataset, split_classes, tokenize)
@@ -186,6 +187,55 @@ class TestLoadEmbeddings:
         write_vec(path, [("a", [1.0]), ("unused", [2.0])])
         table = load_embeddings(path, Vocab.from_tokens(["a"]))
         assert table.matrix.shape == (1, 1)
+
+
+_LINES = {   # a corpus and an embedding file, four lines each, whose
+    # line 3 ends in a Latin-1 "\u00e9"
+    "dataset": [b'{"label": "a", "text": "w0"}'] * 2
+    + [b'{"label": "b", "text": "caf\xe9"}', b'{"label": "b", "text": "w1"}'],
+    "embeddings": [b"w0 1 2", b"w1 3 4", b"caf\xe9 5 6", b"w2 7 8"],
+}
+
+
+def load(kind, path):
+    if kind == "dataset":
+        return load_jsonl_dataset(path)
+    return load_embeddings(path, Vocab.from_tokens(["w0", "w1", "w2"]))
+
+
+class TestNotUtf8:
+    """A line that does not decode is a DataError numbered as every other
+    loader error numbers its line, from one read of the file."""
+
+    @pytest.mark.parametrize("kind", sorted(_LINES))
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_numbered_as_text_lines(self, kind, newline, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(newline.join(_LINES[kind]) + newline)
+        with pytest.raises(DataError, match=r"bad.txt:3: not UTF-8 text: "
+                                            r"'utf-8' codec can't decode byte 0xe9"):
+            load(kind, path)
+        # a line that decodes but does not parse gets the same number
+        lines = list(_LINES[kind])
+        lines[2] = b"{" if kind == "dataset" else b"w1 5"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(DataError, match=r"bad.txt:3: "):
+            load(kind, path)
+
+    @pytest.mark.parametrize("kind", sorted(_LINES))
+    def test_file_opened_once(self, kind, tmp_path, monkeypatch):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\n".join(_LINES[kind]))
+        opened = []
+
+        def counting(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "open", counting, raising=False)
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            load(kind, path)
+        assert opened == [path]
 
 
 class TestVocab:

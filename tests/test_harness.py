@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -501,6 +502,27 @@ def oracle_accuracies(gen, mcfg, table, episodes):
     return tuple(oracles.episode_accuracy(ep, gen, mcfg, table) for ep in episodes)
 
 
+def record_encode_batches(monkeypatch, ds):
+    """A list that gets the dataset indices of every forward-only
+    gen_forward call's sentences, one list per call."""
+    index = {id(ex): i for i, ex in enumerate(ds.examples)}
+    batches = []
+    real = model.gen_forward
+
+    def recording(examples, *args, **kwargs):
+        assert kwargs == {"cache": False}
+        batches.append([index[id(ex)] for ex in examples])
+        return real(examples, *args, **kwargs)
+
+    monkeypatch.setattr(model, "gen_forward", recording)
+    return batches
+
+
+def distinct_examples(episodes):
+    """The dataset indices an evaluate_episodes call encodes, first-seen order."""
+    return list(dict.fromkeys(i for ep in episodes for i in ep.support_indices + ep.query_indices))
+
+
 class TestEvaluationMemo:
     """Evaluation encodes each distinct example once per call and fits every
     head in one stacked dual solve; the accuracies must equal those of
@@ -555,33 +577,24 @@ class TestEvaluationMemo:
 
     def test_encode_batches_hold_at_most_one_training_batch(self, monkeypatch):
         # a training episode of the same shape (2-way 1-shot 2-query)
-        # encodes N(K+2L) = 10 sentences in one pass, N(K+L) = 6 without
-        # its source set under no_adversarial
-        ds, table, vocab, split, spec, _ = small_setup()
-        index = {id(ex): i for i, ex in enumerate(ds.examples)}
-        batches = []   # dataset indices of every gen_forward call's sentences
-        real = model.gen_forward
-
-        def recording(examples, *args, **kwargs):
-            assert kwargs == {"cache": False}
-            batches.append([index[id(ex)] for ex in examples])
-            return real(examples, *args, **kwargs)
-
-        monkeypatch.setattr(model, "gen_forward", recording)
-        for variant, bound in (("default", 10), ("no_adversarial", 6)):
+        # encodes n_train = N(K+2L) = 10 sentences in one pass, N(K+L) = 6
+        # without its source set under no_adversarial; a forward-only
+        # position holds well under a third of a training update's memory,
+        # so evaluation batches hold 3 n_train sentences
+        ds, table, vocab, split, spec, _ = small_setup(per_class=30)
+        batches = record_encode_batches(monkeypatch, ds)
+        for variant, n_train in (("default", 10), ("no_adversarial", 6)):
             mcfg = variant_cfg(variant)
             gen = GeneratorParams.init(mcfg, np.random.default_rng(17))
             batches.clear()
             meta_test(gen, mcfg, table, ds, split.test_classes, spec,
                       n_episodes=10, seeds=(5, 6))
             episodes = sampled_episodes(ds, split.test_classes, spec, 10, (5, 6))
-            distinct = list(dict.fromkeys(i for ep in episodes
-                                          for i in ep.support_indices + ep.query_indices))
             # each example once, in first-seen order over both seeds; only
             # the last batch may be short, so batches span the seeds
-            assert [i for b in batches for i in b] == distinct
-            assert len(batches) > 1 and all(len(b) == bound for b in batches[:-1])
-            assert len(batches[-1]) <= bound
+            assert [i for b in batches for i in b] == distinct_examples(episodes)
+            assert len(batches) > 1 and all(len(b) == 3 * n_train for b in batches[:-1])
+            assert len(batches[-1]) <= 3 * n_train
 
     def test_seeds_share_one_call_in_seed_order(self, monkeypatch):
         ds, table, vocab, split, spec, mcfg = small_setup()
@@ -636,7 +649,7 @@ class TestEvaluationMemo:
     def test_tables_hold_one_batch(self, monkeypatch):
         # each batch projects its own distinct tokens, so a token table has
         # at most one batch's distinct tokens + 1 rows, whatever the call's size
-        ds, table, vocab, split, spec, mcfg = small_setup()
+        ds, table, vocab, split, spec, mcfg = small_setup(per_class=30)
         gen = GeneratorParams.init(mcfg, np.random.default_rng(15))
         projected = []   # (inputs, table rows) of every nn.project_inputs call
         real = nn.project_inputs
@@ -647,12 +660,12 @@ class TestEvaluationMemo:
             return P
 
         monkeypatch.setattr(nn, "project_inputs", recording)
-        episodes = sampled_episodes(ds, split.test_classes, spec, 10, (6,))
+        episodes = sampled_episodes(ds, split.test_classes, spec, 20, (6,))
         evaluate_episodes(gen, mcfg, table, episodes)
-        # the sentences of a training episode: support, query and source
-        batch = len(episodes[0].support) + 2 * len(episodes[0].query)
-        pending = list(dict.fromkeys(i for ep in episodes
-                                     for i in ep.support_indices + ep.query_indices))
+        # the sentences, in first-seen order, go in batches of three
+        # training episodes' sentences: support, query and source
+        batch = 3 * (len(episodes[0].support) + 2 * len(episodes[0].query))
+        pending = distinct_examples(episodes)
         chunks = [pending[s:s + batch] for s in range(0, len(pending), batch)]
         assert len(chunks) > 1 and len(projected) == 2 * len(chunks)   # one per direction
         for k, chunk in enumerate(chunks):
@@ -660,6 +673,40 @@ class TestEvaluationMemo:
             for E, n_rows in projected[2 * k:2 * k + 2]:
                 assert np.array_equal(E, table.matrix[tokens])
                 assert n_rows == len(tokens) + 1
+
+    def test_full_batch_holds_less_than_a_training_update(self):
+        # acceptance shape (d=32, H=16, 4-way 1-shot 5-query, 12 tokens):
+        # Python's peak allocation while encoding one full evaluation batch
+        # stays below that of one training update, which the batch factor
+        # is derived to keep
+        n_train = 4 * (1 + 2 * 5)
+        n_eval = harness.EVAL_BATCH_FACTOR * n_train
+        ds, table, vocab = gen_synthetic_corpus(12, n_eval // 4, 12, 2, 40, 32, seed=0)
+        mcfg = ModelConfig(dim=32, hidden=16, lam=0.1, max_len=12)
+        spec = EpisodeSpec(n_way=4, k_shot=1, l_query=5)
+        rng = np.random.default_rng(0)
+        gen = GeneratorParams.init(mcfg, rng)
+        disc = DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden, rng)
+        opt_gen, opt_disc = nn.AdamState(), nn.AdamState()
+        episodes = [sample_episode(ds, range(8, 12), spec, rng, with_source=False)
+                    for _ in range(60)]
+        assert len(distinct_examples(episodes)) == n_eval   # one batch, filled
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        first, ep = (sample_episode(ds, range(8), spec, rng) for _ in range(2))
+        # Adam's moments are allocated by the first step
+        model.episode_update(first, gen, disc, mcfg, table, opt_gen, opt_disc)
+        update = peak(lambda: model.episode_update(ep, gen, disc, mcfg, table,
+                                                   opt_gen, opt_disc))
+        assert peak(lambda: evaluate_episodes(gen, mcfg, table, episodes)) < update
 
     def test_no_features_outlive_a_call(self, monkeypatch):
         ds, table, vocab, split, spec, mcfg = small_setup()

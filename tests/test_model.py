@@ -623,6 +623,69 @@ class TestForwardOnlyEncoder:
         assert np.array_equal(encode(ex, gen, table, cfg), cached)
         assert attention_weights(ex, gen, table, cfg).shape == (len(ex.token_ids),)
 
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_no_padded_input_without_cache(self, variant, monkeypatch):
+        kw = {} if variant == "default" else {variant: True}
+        episode, gen, disc, cfg, table = ragged_instance(4, **kw)
+        examples = episode_examples(with_extremes(episode, cfg), cfg)
+        built = []   # the length T of every padded X (T, B, d) made
+        real = model._padded
+
+        def spy(E, rows):
+            built.append(rows.shape[0])
+            return real(E, rows)
+
+        monkeypatch.setattr(model, "_padded", spy)
+        gen_forward(examples, gen, table, cfg, cache=False)
+        encode(examples[0], gen, table, cfg)
+        if variant != "no_adversarial":
+            attention_weights(examples[0], gen, table, cfg)
+        assert built == []
+        # a pass that keeps its cache builds X once, for the backward pass:
+        # each sentence's word vectors from t = 0, zeros after its end
+        X = gen_forward(examples, gen, table, cfg)[1][0]
+        assert built == [cfg.max_len]
+        for b, ex in enumerate(examples):
+            m = len(ex.token_ids)
+            assert np.array_equal(X[:m, b], embed_sentence(ex, table).T)
+            assert not X[m:, b].any()
+
+
+class TestFusion:
+    """Each sentence is fused from its own word matrix; on padded batches of
+    equal-length sentences that gives the bits of the padded forms it
+    replaced (tests/oracles.py), and the mean word vector gives them on any
+    batch."""
+
+    @staticmethod
+    def batch(rng, dim, lengths, **kw):
+        cfg = ModelConfig(dim=dim, hidden=5, lam=1.0, max_len=12, disc_hidden=(8, 6), **kw)
+        table = EmbeddingTable(matrix=rng.normal(size=(30, dim)), dim=dim)
+        examples = [Example(tuple(int(t) for t in rng.integers(0, 30, size=m)), 0)
+                    for m in lengths]
+        return cfg, table, GeneratorParams.init(cfg, rng), examples
+
+    @pytest.mark.parametrize("dim", [6, 40])
+    @pytest.mark.parametrize("length", [1, 5, 12])
+    def test_equal_lengths_match_stacked_fusion(self, dim, length):
+        rng = np.random.default_rng(dim + length)
+        cfg, table, gen, examples = self.batch(rng, dim, [length] * 17)
+        X, _, _, _, k = gen_forward(examples, gen, table, cfg)[1]
+        for cache in (True, False):
+            feats, _ = gen_forward(examples, gen, table, cfg, cache=cache)
+            assert np.array_equal(feats, oracles.fuse_padded(X, k))
+
+    @pytest.mark.parametrize("dim", [6, 40])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+    def test_mean_matches_padded_sum(self, dim, ragged):
+        rng = np.random.default_rng(dim)
+        lengths = rng.integers(1, 13, size=17) if ragged else [12] * 17
+        cfg, table, gen, examples = self.batch(rng, dim, lengths, concat_fusion=True)
+        X, lengths = gen_forward(examples, gen, table, cfg)[1][:2]
+        for cache in (True, False):
+            feats, _ = gen_forward(examples, gen, table, cfg, cache=cache)
+            assert np.array_equal(feats[:, cfg.max_len:], oracles.mean_padded(X, lengths))
+
 
 class TestTokenProjection:
     """Input projections gathered by token: a one-token sentence, tokens
@@ -660,6 +723,13 @@ class TestTokenProjection:
         for ids in ((3, 13), (-1, 2)):
             with pytest.raises(ValueError, match="out of range"):
                 gen_forward([Example((5,), 0), Example(ids, 0)], gen, table, cfg)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_empty_sentence_rejected(self, cache):
+        _, cfg, table, gen, _ = self.setup("default")
+        for batch in ([], [Example((5,), 0), Example((), 0)]):
+            with pytest.raises(ValueError, match="no sentences to encode, or an empty one"):
+                gen_forward(batch, gen, table, cfg, cache=cache)
 
 
 class TestEpisodePhases:
@@ -775,14 +845,14 @@ class TestEpisodePhases:
         # acceptance shape: 4-way 1-shot 5-query with 20 source sentences
         ds, table, _ = gen_synthetic_corpus(8, 10, 12, 2, 6, 32, seed=5)
         spec = EpisodeSpec(n_way=4, k_shot=1, l_query=5)
-        calls = []   # one embed_sentence call per sentence encoded
-        real = model.embed_sentence
+        calls = []   # the sentences of every encoder pass
+        real = model.gen_forward
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(examples, *args, **kwargs):
+            calls.extend(examples)
+            return real(examples, *args, **kwargs)
 
-        monkeypatch.setattr(model, "embed_sentence", counting)
+        monkeypatch.setattr(model, "gen_forward", counting)
         for no_adversarial, want in ((False, 44), (True, 24)):
             cfg = ModelConfig(dim=32, hidden=16, lam=0.1, max_len=12,
                               no_adversarial=no_adversarial)

@@ -90,3 +90,8 @@ def test_traced_train_and_meta_test(tmp_path):
     # lstm_states spans and no cached forward pass
     assert spans.grouped("nn.lstm_states", {"harness.meta_test"})
     assert not spans.grouped("nn.lstm_forward", {"harness.meta_test"})
+    # the meta-test's 20 or fewer distinct 8-token sentences fit one
+    # evaluation batch (3 training batches of 10 sentences): one encoder
+    # pass, with one recurrence per direction
+    for name, calls in (("model.gen_forward", 1), ("nn.lstm_states", 2)):
+        assert [len(v) for v in spans.grouped(name, {"harness.meta_test"}).values()] == [calls]
