@@ -101,14 +101,14 @@ class EvalReport:
 
 # Evaluation batches hold EVAL_BATCH_FACTOR times the sentences of a training
 # batch.  Per padded position, a forward-only pass holds each direction's
-# states (H each) and the contextual states built from them (2H), plus a
-# reversed copy of the backward states (H) while it builds them: at most 5H
-# doubles.  It makes no padded word vectors; each sentence's word vectors
-# are gathered on their own while it is fused.  A split training update
-# holds 2d + 17H per position (the d + 14H BPTT cache, the reversed input
-# copy, d, and the output gradients, 3H), at least 3.4 times as much at any
-# d, so at the same padded length such a batch holds less than one update;
-# 3 leaves room for the per-token tables and the features.
+# states, H each, in that direction's own time order: 2H doubles.  It makes
+# no padded word vectors; each sentence's word vectors are gathered on
+# their own while it is fused.  A split training update holds 2d + 14H per
+# position (the d + 12H BPTT cache, the reversed input copy, d, and each
+# direction's state gradients, 2H), at least 7 times as much at any d, so at
+# the same padded length such a batch holds less than one update; 3 leaves
+# room for the per-token tables and the features, and eval-paper's call
+# already fits one batch, so no workload would show a wider one.
 EVAL_BATCH_FACTOR = 3
 
 
@@ -455,7 +455,7 @@ def _read_array(spec: dict) -> np.ndarray:
     numbers and ``shape`` non-negative integers that it fills.  Strings,
     booleans or nested lists in ``data``, or a -1 in ``shape``, which
     reshape would infer, raise ValueError."""
-    data, shape = np.array(spec["data"]), spec["shape"]
+    data, shape = np.asarray(spec["data"]), spec["shape"]
     if data.ndim != 1 or data.dtype.kind not in "iuf" or (
             {type(n) for n in shape} - {int} or min(shape, default=0) < 0):
         raise ValueError(f"need flat numeric data and a non-negative integer shape, "
@@ -463,12 +463,24 @@ def _read_array(spec: dict) -> np.ndarray:
     return data.astype(np.float64, copy=False).reshape(shape)
 
 
+def _parse_array(obj: dict) -> dict:
+    """``json.loads``' object_hook: a well-formed ``{shape, data}`` object's
+    list becomes its flat float64 array as soon as it is parsed, so no more
+    than one array's Python floats are alive at once.  Anything else stays
+    as parsed, for load_checkpoint's checks."""
+    try:
+        obj["data"] = _read_array(obj).ravel()
+    except (KeyError, TypeError, ValueError):
+        pass
+    return obj
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (gen, disc, model_cfg), the parameters
     built for the stored config.  Every fault in the container, its arrays
     or its config raises DataError naming the file."""
     try:
-        payload = json.loads(read_utf8(path, "checkpoint"))
+        payload = json.loads(read_utf8(path, "checkpoint"), object_hook=_parse_array)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid checkpoint JSON: {exc.msg}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("arrays", {}), dict):

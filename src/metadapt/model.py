@@ -172,12 +172,18 @@ def _padded(E, rows) -> np.ndarray:
 
 
 def _attention(E, rows, lengths, gen: GeneratorParams, cache: bool = True):
-    """Attention weights k (B, T), zero at padded positions: each BiLSTM
-    contextual state is scored with the learned projection and softmaxed
-    across its sentence.  Returns (k, H_ctx, BiLSTM cache or None)."""
-    H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
-    z = H_ctx @ gen.attn_w.value + gen.attn_b.value[0]
-    return nn.softmax(z.T, _valid(lengths, rows.shape[0])), H_ctx, bc
+    """Attention weights k (B, T), zero at padded positions: each position's
+    BiLSTM states are scored with the learned projection and softmaxed
+    across its sentence.  The score of the two directions' states is
+    w_f.h_f + w_b.h_b, attn_w's halves in turn; each direction is scored in
+    its own time order and the backward scores (T, B) realigned.  Returns
+    (k, (Hf, Hb, rev) as nn.bilstm_forward gives them, BiLSTM cache or
+    None)."""
+    Hf, Hb, rev, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
+    H = gen.fwd.hidden_size
+    w = gen.attn_w.value
+    z = Hf @ w[:H] + (Hb @ w[H:])[rev, np.arange(lengths.size)] + gen.attn_b.value[0]
+    return nn.softmax(z.T, _valid(lengths, rows.shape[0])), (Hf, Hb, rev), bc
 
 
 def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: ModelConfig,
@@ -186,25 +192,29 @@ def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: Mode
     sentences in one padded BiLSTM pass, plus the cache gen_backward needs.
 
     The BiLSTM projects each of the batch's distinct tokens once per
-    direction and gathers its inputs by token.  The default fuses each
-    sentence's word matrix (``embed_sentence``) with its attention weights,
-    s = W k, one sentence at a time.  ``concat_fusion`` puts the weights,
-    zero-padded to ``max_len``, before the mean word vector.
-    ``no_adversarial`` projects the mean contextual state back to
-    word-vector width.  The padded word vectors X (T, B, d) are built for
-    the cache alone: with ``cache=False`` the BiLSTM runs forward only, no
-    X is made, the features are bitwise the same, and the cache returned is
-    None.
+    direction and gathers its inputs by token; its two directions' states
+    stay apart, each in its own time order (``_attention``).  The default
+    fuses each sentence's word matrix (``embed_sentence``) with its
+    attention weights, s = W k, one sentence at a time.  ``concat_fusion``
+    puts the weights, zero-padded to ``max_len``, before the mean word
+    vector.  ``no_adversarial`` projects the mean of each direction's
+    states, forward on top of backward, back to word-vector width.  The
+    padded word vectors X (T, B, d) are built for the cache alone: with
+    ``cache=False`` the BiLSTM runs forward only, no X is made, the
+    features are bitwise the same, and the cache returned is None.
     """
     E, rows, lengths = _encoder_inputs(examples, table)
     T = rows.shape[0]
     if cfg.no_adversarial:
-        H_ctx, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
-        H_ctx[~_valid(lengths, T).T] = 0.0
-        hbar = H_ctx.sum(axis=0) / lengths[:, None]
+        Hf, Hb, _, bc = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
+        # padding trails in both directions' orders and a sum reads no
+        # order, so one mask sums either direction over its valid steps
+        valid = _valid(lengths, T)
+        hbar = np.concatenate([np.einsum("bt,tbh->bh", valid, Hs) for Hs in (Hf, Hb)],
+                              axis=1) / lengths[:, None]
         feats = hbar @ gen.proj_w.value.T + gen.proj_b.value
         return feats, ((_padded(E, rows), lengths, None, bc, hbar) if cache else None)
-    k, H_ctx, bc = _attention(E, rows, lengths, gen, cache)
+    k, states, bc = _attention(E, rows, lengths, gen, cache)
     if cfg.concat_fusion:
         if T > cfg.max_len:
             raise ValueError(f"sentence length {T} exceeds max_len {cfg.max_len}")
@@ -218,18 +228,22 @@ def gen_forward(examples, gen: GeneratorParams, table: EmbeddingTable, cfg: Mode
     else:
         feats = np.stack([embed_sentence(ex, table) @ kb[:len(ex.token_ids)]
                           for ex, kb in zip(examples, k)])
-    return feats, ((_padded(E, rows), lengths, H_ctx, bc, k) if cache else None)
+    return feats, ((_padded(E, rows), lengths, states, bc, k) if cache else None)
 
 
 def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConfig):
     """Push d(loss)/d(features) (B, encoder_dim) back into the generator's
-    grads; consumes the cache."""
-    X, lengths, H_ctx, bc, aux = cache
+    grads; consumes the cache.  Each direction's state gradient is formed
+    in that direction's own time order, and attn_w's gradient one half at
+    a time."""
+    X, lengths, states, bc, aux = cache
+    H = gen.fwd.hidden_size
     if cfg.no_adversarial:
         gen.proj_w.grad += dfeats.T @ aux
         gen.proj_b.grad += dfeats.sum(axis=0)
         dhbar = dfeats @ gen.proj_w.value / lengths[:, None]
-        dH = np.where(_valid(lengths, X.shape[0]).T[:, :, None], dhbar, 0.0)
+        valid = _valid(lengths, X.shape[0]).T[:, :, None]
+        dHf, dHb = np.where(valid, dhbar[:, :H], 0.0), np.where(valid, dhbar[:, H:], 0.0)
     else:
         k = aux
         if cfg.concat_fusion:
@@ -238,10 +252,14 @@ def gen_backward(dfeats: np.ndarray, cache, gen: GeneratorParams, cfg: ModelConf
         else:
             dk = np.einsum("tbd,bd->bt", X, dfeats)
         dz = k * (dk - (k * dk).sum(axis=1, keepdims=True))   # zero at padding
-        gen.attn_w.grad += np.tensordot(dz.T, H_ctx, axes=2)
+        Hf, Hb, rev = states
+        dzf, dzb = dz.T, dz.T[rev, np.arange(lengths.size)]   # each direction's order
+        w = gen.attn_w.value
+        gen.attn_w.grad[:H] += np.tensordot(dzf, Hf, axes=2)
+        gen.attn_w.grad[H:] += np.tensordot(dzb, Hb, axes=2)
         gen.attn_b.grad += dz.sum()
-        dH = dz.T[:, :, None] * gen.attn_w.value
-    nn.bilstm_backward(dH, X, bc, gen.fwd, gen.bwd)
+        dHf, dHb = dzf[:, :, None] * w[:H], dzb[:, :, None] * w[H:]
+    nn.bilstm_backward(dHf, dHb, X, bc, gen.fwd, gen.bwd)
 
 
 def encode(example, gen: GeneratorParams, table: EmbeddingTable,

@@ -12,8 +12,10 @@ The LSTM kernels run a whole padded batch of sequences per call on
 pre-activations gathered from a table of projected inputs, and their
 backward passes consume the cache: the gate buffer becomes the gradient
 buffer.  ``lstm_states`` is the forward pass alone, for callers that never
-backpropagate: it keeps no cache.  A large enough batch runs the BiLSTM's
-two directions on two threads when BLAS runs one thread per call
+backpropagate: it keeps no cache.  The BiLSTM hands back each direction's
+states in that direction's own time order, never concatenated; callers
+realign (T, B) arrays with ``reverse_index``.  A large enough batch runs
+its two directions on two threads when BLAS runs one thread per call
 (``_split_directions``).
 """
 
@@ -288,25 +290,27 @@ def reverse_index(lengths, T: int) -> np.ndarray:
 
 def bilstm_forward(E: np.ndarray, rows: np.ndarray, lengths, fwd: LstmParams,
                    bwd: LstmParams, cache: bool = True):
-    """Contextual states (T, B, 2H) of a padded, time-major batch of inputs.
+    """Each direction's states (T, B, H) over a padded, time-major batch of
+    inputs, each in that direction's own time order.
 
     ``E`` (U, d) holds the distinct input vectors and ``rows`` (T, B) each
     position's row in ``E``, padded positions row U.  Each direction
     projects ``E`` into its own project_inputs table and gathers its
-    pre-activations from it.  Position t of column b holds the forward
-    state after reading tokens 0..t on top of the backward state after
-    reading tokens len_b - 1..t.  The backward direction gathers with each
-    column's rows reversed within its length, so its padding also trails.
-    States at padded positions are meaningless.  The directions run one
-    after the other, or side by side (``_run_directions``).  Returns
-    (H_ctx, cache for bilstm_backward); with ``cache=False`` the directions
-    run lstm_states, which keeps nothing for BPTT, and the cache is None.
+    pre-activations from it.  Position t of column b holds, in Hf, the
+    forward state after reading tokens 0..t and, in Hb, the backward state
+    after reading tokens len_b - 1..rev[t, b]: the backward direction
+    gathers with each column's rows reversed within its length, so its
+    padding also trails.  ``rev`` (reverse_index) realigns a (T, B) array
+    of either order with the other, ``a[rev, cols]``.  States at padded
+    positions are meaningless.  The directions run one after the other, or
+    side by side (``_run_directions``).  Returns (Hf, Hb, rev, cache for
+    bilstm_backward); with ``cache=False`` the directions run lstm_states,
+    which keeps nothing for BPTT, and the cache is None.
     """
     T, B = rows.shape
     if T < 1 or B < 1:
         raise ValueError("bilstm_forward expects a non-empty T x B batch")
     rev = reverse_index(lengths, T)
-    cols = np.arange(B)
 
     def run(p, direction_rows):
         if cache:   # the table is dropped once gathered
@@ -314,38 +318,39 @@ def bilstm_forward(E: np.ndarray, rows: np.ndarray, lengths, fwd: LstmParams,
         return lstm_states(project_inputs(E, p), direction_rows, p), None
 
     (Hf, cf), (Hb, cb) = _run_directions(
-        lambda: run(fwd, rows), lambda: run(bwd, rows[rev, cols]),
+        lambda: run(fwd, rows), lambda: run(bwd, rows[rev, np.arange(B)]),
         _split_directions(T, B, fwd.hidden_size))
-    return np.concatenate([Hf, Hb[rev, cols]], axis=2), (rev, cf, cb) if cache else None
+    return Hf, Hb, rev, (rev, cf, cb) if cache else None
 
 
-def bilstm_backward(dOut: np.ndarray, X: np.ndarray, cache, fwd: LstmParams,
-                    bwd: LstmParams) -> None:
+def bilstm_backward(dHf: np.ndarray, dHb: np.ndarray, X: np.ndarray, cache,
+                    fwd: LstmParams, bwd: LstmParams) -> None:
     """Backprop through bilstm_forward into both directions' grads.  ``X``
-    (T, B, d) holds the inputs at their positions, zero at padding; dOut
-    (T, B, 2H) must be zero at padded positions.  The backward direction
-    makes its reversed copies of X and dOut itself, so when the directions
-    run side by side both directions' BPTT buffers are live at once."""
+    (T, B, d) holds the inputs at their positions, zero at padding.  dHf
+    and dHb (T, B, H) are the gradients of Hf and Hb, each in its own
+    direction's time order, and must be zero at padded positions.  The
+    backward direction makes its reversed copy of X itself, so when the
+    directions run side by side both directions' BPTT buffers are live at
+    once."""
     rev, cf, cb = cache
     T, B = rev.shape
-    H = fwd.hidden_size
-    cols = np.arange(B)
 
     def forward_direction():
         cf["X"] = X
-        lstm_backward(dOut[:, :, :H], cf, fwd)
+        lstm_backward(dHf, cf, fwd)
 
     def backward_direction():
-        cb["X"] = X[rev, cols]
-        lstm_backward(dOut[rev, cols, H:], cb, bwd)
+        cb["X"] = X[rev, np.arange(B)]
+        lstm_backward(dHb, cb, bwd)
 
-    _run_directions(forward_direction, backward_direction, _split_directions(T, B, H))
+    _run_directions(forward_direction, backward_direction,
+                    _split_directions(T, B, fwd.hidden_size))
 
 
 # ---------------------------------------------------------------------------
 # running the two directions side by side
 #
-# The directions share no state until their outputs are concatenated, and
+# The directions share no state until the attention reads their outputs, and
 # numpy and BLAS release the GIL, so on two CPUs they can overlap.  Each
 # direction runs the same operations in the same order either way and
 # writes only its own arrays and Params, so the results are bitwise equal.

@@ -459,6 +459,33 @@ class TestCheckpointContainer:
             with pytest.raises(DataError, match=match):
                 load_checkpoint(path)
 
+    def test_paper_sized_load_converts_arrays_while_parsing(self, tmp_path, monkeypatch):
+        # d = 300, H = 128: 550k weights in a 12 MB file.  Each array's list
+        # becomes an array as the parser finishes it; with an identity hook
+        # the whole file is parsed into lists first, the load as it was
+        # before the hook
+        mcfg = ModelConfig(dim=300, hidden=128)
+        rng = np.random.default_rng(35)
+        gen = GeneratorParams.init(mcfg, rng)
+        disc = DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden, rng)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, gen, disc, mcfg)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                loaded = load_checkpoint(path)
+                return tracemalloc.get_traced_memory()[1], loaded
+            finally:
+                tracemalloc.stop()
+
+        hooked, (gen2, disc2, _) = peak()
+        monkeypatch.setattr(harness, "_parse_array", lambda obj: obj)
+        whole, _ = peak()
+        assert gen2.values.tobytes() == gen.values.tobytes()
+        assert disc2.values.tobytes() == disc.values.tobytes()
+        assert hooked < 0.9 * whole   # 22.9 against 28.4 MiB when measured
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text("{nope")

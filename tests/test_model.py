@@ -499,6 +499,17 @@ def episode_examples(episode, cfg):
     return out if cfg.no_adversarial else out + list(episode.source)
 
 
+def arrays_in(obj):
+    """Every numpy array an object holds, through tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in arrays_in(item)]
+    return []
+
+
 class TestBatchedEncoder:
     """One padded BiLSTM pass per episode against the per-sentence oracle."""
 
@@ -508,11 +519,22 @@ class TestBatchedEncoder:
             kw = {} if variant == "default" else {variant: True}
             episode, gen, disc, cfg, table = ragged_instance(seed, **kw)
             episode = with_extremes(episode, cfg)
+            examples = episode_examples(episode, cfg)
+            lengths = [len(ex.token_ids) for ex in examples]
+            T = max(lengths)
+            # reversing each sentence within its length is no plain flip of
+            # the batch, so a misaligned direction shows
+            assert not np.array_equal(nn.reverse_index(lengths, T), np.broadcast_to(
+                np.arange(T)[::-1, None], (T, len(lengths))))
             fwd = episode_forward(episode, gen, cfg, table)
-            want = np.stack([oracle_feature(ex, gen, cfg, table)
-                             for ex in episode_examples(episode, cfg)])
+            want = np.stack([oracle_feature(ex, gen, cfg, table) for ex in examples])
             assert fwd.feats.shape == want.shape
             assert np.abs(fwd.feats - want).max() < 1e-12
+            if not cfg.no_adversarial:
+                k = fwd.cache[4]
+                for b, ex in enumerate(examples):
+                    want_k, _ = oracles.generate_attention(embed_sentence(ex, table), gen)
+                    assert np.abs(k[b, :lengths[b]] - want_k).max() < 1e-12
 
             clf, _ = fit_episode_classifier(fwd, cfg.lam)
             loss, _ = generator_loss_and_grads(fwd, clf, gen, disc, cfg)
@@ -520,10 +542,28 @@ class TestBatchedEncoder:
             want_loss = oracles.gen_loss_and_grads(episode, clf, gen, disc, cfg, table)
             assert abs(loss - want_loss) < 1e-12
             # attn_b's gradient is zero up to rounding (softmax is shift
-            # invariant), so the bar is relative to the largest gradient
+            # invariant), so the bar is relative to the largest gradient;
+            # attn_w's covers both halves, one per direction
             scale = max(np.abs(p.grad).max() for p in gen.params())
             for g, p in zip(got, gen.params()):
                 assert np.abs(g - p.grad).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("variant", ["default", "concat_fusion", "no_adversarial"])
+    def test_no_context_tensor_kept(self, variant):
+        # 2H = 10 differs from d = 6, 4H = 20 and every length up to max_len 8
+        kw = {} if variant == "default" else {variant: True}
+        episode, gen, disc, cfg, table = ragged_instance(0, hidden=5, **kw)
+        examples = episode_examples(with_extremes(episode, cfg), cfg)
+        two_h = (2 * cfg.hidden,)
+        E, rows, lengths = model._encoder_inputs(examples, table)
+        for cache in (True, False):
+            held = nn.bilstm_forward(E, rows, lengths, gen.fwd, gen.bwd, cache)
+            assert [a.shape for a in arrays_in(held) if a.shape[-1:] == two_h] == []
+        held = arrays_in(gen_forward(examples, gen, table, cfg)[1])
+        # the plain encoder keeps its pooled (B, 2H) states for proj_w's
+        # gradient; no array with a time axis is 2H wide
+        allowed = [(len(examples),) + two_h] if cfg.no_adversarial else []
+        assert [a.shape for a in held if a.shape[-1:] == two_h] == allowed
 
     def test_generator_gradient_finite_differences(self):
         episode, gen, disc, cfg, table = ragged_instance(5)

@@ -161,13 +161,33 @@ def run_lstm(X, p):
     return out, cache
 
 
+def aligned(Hf, Hb, rev):
+    """The two directions' states side by side at each position (T, B, 2H),
+    the backward states realigned, Hb[rev, cols]: the contextual states as
+    the per-sentence reference stacks them."""
+    return np.concatenate([Hf, Hb[rev, np.arange(rev.shape[1])]], axis=2)
+
+
 def run_bilstm(X, lengths, fwd, bwd):
-    """bilstm_forward on the projections of X's positions."""
-    return bilstm_forward(*positions(X), lengths, fwd, bwd)
+    """bilstm_forward on the projections of X's positions; returns the
+    position-aligned states (T, B, 2H) and the cache."""
+    Hf, Hb, rev, cache = bilstm_forward(*positions(X), lengths, fwd, bwd)
+    return aligned(Hf, Hb, rev), cache
+
+
+def backward_aligned(dOut, X, lengths, cache, fwd, bwd):
+    """bilstm_backward of a gradient dOut (T, B, 2H) of the position-aligned
+    states: the forward half as it is, the backward half realigned into the
+    backward direction's own time order."""
+    T, B, _ = X.shape
+    H = fwd.hidden_size
+    rev = reverse_index(lengths, T)
+    bilstm_backward(dOut[:, :, :H], dOut[rev, np.arange(B), H:], X, cache, fwd, bwd)
 
 
 def bilstm1(X, fwd, bwd):
-    """bilstm_forward on a batch of one sequence X (d x m); returns 2H x m."""
+    """The position-aligned states of a batch of one sequence X (d x m),
+    2H x m."""
     out, _ = run_bilstm(*padded([X]), fwd, bwd)
     return out[:, 0].T
 
@@ -285,7 +305,7 @@ class TestPaddedBatch:
         X, valid = ragged_batch(rng, d, self.LENGTHS)
         dOut = rng.normal(size=X.shape[:2] + (2 * H,)) * valid
         out, cache = run_bilstm(X, self.LENGTHS, fwd, bwd)
-        bilstm_backward(dOut, X, cache, fwd, bwd)
+        backward_aligned(dOut, X, self.LENGTHS, cache, fwd, bwd)
         params = fwd.params() + bwd.params()
         got = [q.grad.copy() for q in params]
         for q in params:
@@ -437,7 +457,7 @@ class TestSplitDirections:
         for q in params:
             q.grad.fill(0.0)
         out, cache = run_bilstm(X, lengths, fwd, bwd)
-        bilstm_backward(dOut, X, cache, fwd, bwd)
+        backward_aligned(dOut, X, lengths, cache, fwd, bwd)
         return [out] + [q.grad.copy() for q in params]
 
     def test_bitwise_equal_to_serial(self, monkeypatch):
@@ -609,11 +629,11 @@ class TestForwardOnly:
         fwd, bwd = LstmParams.init(d, H, rng), LstmParams.init(d, H, rng)
         E, rows = token_batch(rng, d, 300, lengths)
         split_directions(monkeypatch, False)
-        want, cache = bilstm_forward(E, rows, lengths, fwd, bwd)
+        *want, cache = bilstm_forward(E, rows, lengths, fwd, bwd)
         split_directions(monkeypatch, split)
-        got, none = bilstm_forward(E, rows, lengths, fwd, bwd, cache=False)
+        *got, none = bilstm_forward(E, rows, lengths, fwd, bwd, cache=False)
         assert cache is not None and none is None
-        assert np.array_equal(got, want)
+        assert np.array_equal(aligned(*got), aligned(*want))
 
 
 def test_import_loads_no_scipy():
@@ -657,7 +677,7 @@ class TestBackwardPasses:
 
         def loss_fn():
             out, cache = run_bilstm(X, lengths, fwd, bwd)
-            bilstm_backward(w_out, X, cache, fwd, bwd)
+            backward_aligned(w_out, X, lengths, cache, fwd, bwd)
             return float((w_out * out).sum())
 
         assert grad_check(loss_fn, *flatten(fwd.params() + bwd.params()),
