@@ -20,8 +20,8 @@ import numpy as np
 
 from . import harness
 from .corpus import (DataError, Vocab, gen_synthetic_corpus, keyword_token_ids,
-                     load_embeddings, load_jsonl_dataset, make_dataset, read_utf8,
-                     split_classes, tokenize, write_corpus_files)
+                     load_embeddings, load_jsonl_dataset, make_dataset, parse_json,
+                     read_utf8, split_classes, tokenize, write_corpus_files)
 from .episodes import EpisodeSpec, check_classes, sample_episode
 from .harness import TrainConfig
 from .model import ModelConfig
@@ -43,12 +43,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_config_file(path) -> dict:
     """Config as JSON or key=value lines."""
     text = read_utf8(path, "config")
-    text_stripped = text.strip()
-    if text_stripped.startswith("{"):
-        try:
-            return json.loads(text_stripped)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid config JSON: {exc.msg}") from None
+    if text.lstrip().startswith("{"):
+        return parse_json(text, path, "config")
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -96,7 +92,7 @@ def _coerce_value(key: str, val):
         if isinstance(val, (str, int, float) if kind is float else (str, int)):
             try:
                 return kind(val)
-            except ValueError:
+            except (ValueError, OverflowError):  # float() of a huge JSON integer
                 pass
     raise DataError(f"config key '{key}' has a value of the wrong type: {val!r}")
 
@@ -337,10 +333,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # every input loader turns a file it cannot open, decode or parse
         # into a DataError, so an OSError here is an output that cannot be
-        # written and a ValueError an argument the command cannot serve
+        # written, a ValueError an argument the command cannot serve and a
+        # MemoryError a model too large for this machine
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,6 @@ import json
 import logging
 import string
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +39,16 @@ def read_utf8(path, what: str) -> str:
     except UnicodeDecodeError as exc:
         lineno = raw[:exc.start].count(b"\n") + 1
         raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+
+
+def parse_json(text: str, where, what: str, object_hook=None):
+    """``text`` parsed as JSON.  Every parse failure raises DataError naming
+    ``where`` (a file, or ``file:line``): bad syntax, an integer longer than
+    Python converts, and nesting deeper than the parser recurses."""
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{where}: invalid {what} JSON: {getattr(exc, 'msg', exc)}") from None
 
 
 def _text_lines(path, what: str):
@@ -102,22 +111,14 @@ class Example:
 class Dataset:
     examples: tuple[Example, ...]
     classes: frozenset[int]
-    class_index: dict[int, tuple[int, ...]] = field(repr=False)
+    # class id -> read-only intp array of its examples' positions
+    class_index: dict[int, np.ndarray] = field(repr=False, compare=False)
     vocab: Vocab = field(repr=False)
     label_names: tuple[str, ...] = ()
     skipped: int = 0
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    @cached_property
-    def class_arrays(self) -> dict[int, np.ndarray]:
-        """``class_index`` as read-only intp arrays, built on first use."""
-        out = {}
-        for c, ix in self.class_index.items():
-            out[c] = np.array(ix, dtype=np.intp)
-            out[c].flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,16 @@ def tokenize(text: str) -> list[str]:
 def make_dataset(parsed, label_names, vocab, skipped=0) -> Dataset:
     """Assemble a Dataset from (token_ids, label) pairs."""
     examples = tuple(Example(token_ids=tuple(ids), label=lab) for ids, lab in parsed)
-    class_index: dict[int, list[int]] = {}
+    positions: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
-        class_index.setdefault(ex.label, []).append(i)
+        positions.setdefault(ex.label, []).append(i)
+    class_index = {c: np.array(ix, dtype=np.intp) for c, ix in positions.items()}
+    for ix in class_index.values():
+        ix.flags.writeable = False
     return Dataset(
         examples=examples,
         classes=frozenset(class_index),
-        class_index={c: tuple(ix) for c, ix in class_index.items()},
+        class_index=class_index,
         vocab=vocab,
         label_names=tuple(label_names),
         skipped=skipped,
@@ -175,19 +179,15 @@ def load_jsonl_dataset(path, label_field: str = "label", text_field: str = "text
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    token_index: dict[str, int] = {}
-    token_list: list[str] = []
+    # id = insertion position: the keys are the vocabulary and the label names
+    token_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
-    label_names: list[str] = []
     parsed: list[tuple[tuple[int, ...], int]] = []
     skipped = 0
     for lineno, line in _text_lines(path, "dataset"):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+        obj = parse_json(line, f"{path}:{lineno}", "dataset")
         if not isinstance(obj, dict) or label_field not in obj or text_field not in obj:
             raise DataError(
                 f"{path}:{lineno}: object missing field '{label_field}' or '{text_field}'")
@@ -195,23 +195,14 @@ def load_jsonl_dataset(path, label_field: str = "label", text_field: str = "text
         if not toks:
             skipped += 1
             continue
-        label = str(obj[label_field])
-        if label not in label_ids:
-            label_ids[label] = len(label_names)
-            label_names.append(label)
-        ids = []
-        for t in toks:
-            if t not in token_index:
-                token_index[t] = len(token_list)
-                token_list.append(t)
-            ids.append(token_index[t])
-        parsed.append((tuple(ids), label_ids[label]))
+        label = label_ids.setdefault(str(obj[label_field]), len(label_ids))
+        parsed.append((tuple(token_ids.setdefault(t, len(token_ids)) for t in toks), label))
     if skipped:
         logger.warning("%s: skipped %d line(s) with empty text after tokenization",
                        path, skipped)
     if not parsed:
         raise DataError(f"{path}: no examples")
-    return make_dataset(parsed, label_names, Vocab.from_tokens(token_list), skipped)
+    return make_dataset(parsed, label_ids, Vocab.from_tokens(token_ids), skipped)
 
 
 def _is_header(parts: list[str]) -> bool:

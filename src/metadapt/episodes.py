@@ -71,8 +71,7 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
     fewer than K+L examples are never drawn; ``check_classes`` reports them
     once for a whole split.
     """
-    if source_excludes not in ("all", "current"):
-        raise ValueError(f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
+    draws = _source_draws(source_excludes, spec)
     need = spec.k_shot + spec.l_query
     allowed = sorted(allowed_classes)
     eligible = _eligible(dataset, allowed, spec)
@@ -82,25 +81,21 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
 
     # pool[rng.choice(pool.size, ...)] draws what rng.choice(pool, ...) does,
     # from the same generator state, without converting pool on every call
-    arrays = dataset.class_arrays
     sup_idx, qry_idx = [], []
     for c in classes:
-        pool = arrays[c]
+        pool = dataset.class_index[c]
         pick = pool[rng.choice(pool.size, size=need, replace=False)].tolist()
         sup_idx += pick[:spec.k_shot]
         qry_idx += pick[spec.k_shot:]
 
     src_idx: list[int] = []
-    if with_source:
-        # one draw outside the episode's classes, or one per class outside it
-        draws = ([(classes, spec.n_way * spec.l_query)] if source_excludes == "all"
-                 else [({c}, spec.l_query) for c in classes])
-        for excluded, n_src in draws:
-            pools = [arrays[c] for c in allowed if c not in excluded]
-            pool = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
-            if pool.size < n_src:
-                raise ValueError(f"source pool has {pool.size} examples, need {n_src}")
-            src_idx.extend(pool[rng.choice(pool.size, size=n_src, replace=False)].tolist())
+    for positions, n_src in (draws if with_source else ()):
+        excluded = {classes[i] for i in positions}
+        pools = [dataset.class_index[c] for c in allowed if c not in excluded]
+        pool = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
+        if pool.size < n_src:
+            raise ValueError(f"source pool has {pool.size} examples, need {n_src}")
+        src_idx.extend(pool[rng.choice(pool.size, size=n_src, replace=False)].tolist())
 
     return Episode(
         support=tuple((dataset.examples[j], i // spec.k_shot) for i, j in enumerate(sup_idx)),
@@ -111,6 +106,18 @@ def sample_episode(dataset: Dataset, allowed_classes, spec: EpisodeSpec,
         query_indices=tuple(qry_idx),
         source_indices=tuple(src_idx),
     )
+
+
+def _source_draws(source_excludes: str, spec: EpisodeSpec) -> list:
+    """An episode's source draws as (positions of the episode classes they
+    exclude, examples drawn): one draw of N*L outside all N classes under
+    ``"all"``, one of L outside each class under ``"current"``.  Any other
+    value raises ValueError."""
+    if source_excludes == "all":
+        return [(range(spec.n_way), spec.n_way * spec.l_query)]
+    if source_excludes == "current":
+        return [((i,), spec.l_query) for i in range(spec.n_way)]
+    raise ValueError(f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
 
 
 def _eligible(dataset: Dataset, classes, spec: EpisodeSpec) -> list:
@@ -131,23 +138,20 @@ def check_classes(dataset: Dataset, classes, spec: EpisodeSpec,
     hold fewer than K+L examples and so are never drawn.
 
     Fewer than ``n_way`` eligible classes are refused.  With
-    ``source_excludes``, so is a worst draw whose source pool is short: it
-    excludes the ``n_way`` largest eligible classes and takes N*L examples
-    under ``"all"``, and the largest one and takes L under ``"current"``.
+    ``source_excludes``, so is a worst draw whose source pool is short: the
+    episode that draws the ``n_way`` largest eligible classes, whose source
+    draws (``_source_draws``) exclude the most examples.
     """
     allowed = set(classes)
     eligible = _eligible(dataset, allowed, spec)
     if source_excludes is not None:
-        if source_excludes not in ("all", "current"):
-            raise ValueError(
-                f"source_excludes must be 'all' or 'current', got {source_excludes!r}")
-        n_excluded = spec.n_way if source_excludes == "all" else 1
+        total = sum(len(dataset.class_index.get(c, ())) for c in allowed)
         sizes = sorted((len(dataset.class_index[c]) for c in eligible), reverse=True)
-        pool = (sum(len(dataset.class_index.get(c, ())) for c in allowed)
-                - sum(sizes[:n_excluded]))
-        if pool < spec.l_query * n_excluded:
-            raise ValueError(f"source pool can have as few as {pool} examples, "
-                             f"need {spec.l_query * n_excluded}")
+        for positions, n_src in _source_draws(source_excludes, spec):
+            pool = total - sum(sizes[i] for i in positions)
+            if pool < n_src:
+                raise ValueError(f"source pool can have as few as {pool} examples, "
+                                 f"need {n_src}")
     if len(eligible) < len(allowed):
         logger.warning("excluding %d class(es) with fewer than %d examples",
                        len(allowed) - len(eligible), spec.k_shot + spec.l_query)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model, nn
 from .corpus import (ClassSplit, DataError, Dataset, EmbeddingTable, Example, Vocab,
-                     make_dataset, read_utf8)
+                     make_dataset, parse_json, read_utf8)
 from .episodes import Episode, EpisodeSpec, check_classes, sample_episode
 from .model import DiscriminatorParams, EpisodeMetrics, GeneratorParams, ModelConfig
 from .nn import AdamState, NumericalError
@@ -256,11 +256,7 @@ def load_split(path) -> tuple[set, set]:
     """(test classes, train classes) from a ``split.json`` that ``train``
     wrote; anything but an object whose two keys list integer class ids
     raises DataError naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            split = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise DataError(f"cannot read split file {path}: {exc}") from None
+    split = parse_json(read_utf8(path, "split file"), path, "split")
     if not isinstance(split, dict):
         raise DataError(f"{path}: a split must be a JSON object, got {type(split).__name__}")
 
@@ -464,10 +460,10 @@ def _read_array(spec: dict) -> np.ndarray:
 
 
 def _parse_array(obj: dict) -> dict:
-    """``json.loads``' object_hook: a well-formed ``{shape, data}`` object's
-    list becomes its flat float64 array as soon as it is parsed, so no more
-    than one array's Python floats are alive at once.  Anything else stays
-    as parsed, for load_checkpoint's checks."""
+    """``parse_json``'s object_hook for a checkpoint: a well-formed
+    ``{shape, data}`` object's list becomes its flat float64 array as soon
+    as it is parsed, so no more than one array's Python floats are alive at
+    once.  Anything else stays as parsed, for load_checkpoint's checks."""
     try:
         obj["data"] = _read_array(obj).ravel()
     except (KeyError, TypeError, ValueError):
@@ -479,14 +475,11 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (gen, disc, model_cfg), the parameters
     built for the stored config.  Every fault in the container, its arrays
     or its config raises DataError naming the file."""
-    try:
-        payload = json.loads(read_utf8(path, "checkpoint"), object_hook=_parse_array)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid checkpoint JSON: {exc.msg}") from None
+    payload = parse_json(read_utf8(path, "checkpoint"), path, "checkpoint", _parse_array)
     if not isinstance(payload, dict) or not isinstance(payload.get("arrays", {}), dict):
         raise DataError(f"{path}: checkpoint is not a named-array container")
     version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format version {version!r}")
     arrays = payload.get("arrays", {})
     for name, spec in arrays.items():   # each list becomes an array in place
@@ -494,13 +487,13 @@ def load_checkpoint(path):
             arrays[name] = _read_array(spec)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed array {name}: {exc!r}") from None
-    try:
+    try:  # a config no parameters can be built for is bad too
         model_cfg = _read_model_config(payload.get("config") or {})
-    except (KeyError, TypeError, ValueError) as exc:
+        rng = np.random.default_rng(0)
+        gen = GeneratorParams.init(model_cfg, rng)
+        disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, rng)
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise DataError(f"{path}: bad model config: {exc!r}") from None
-    rng = np.random.default_rng(0)
-    gen = GeneratorParams.init(model_cfg, rng)
-    disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, rng)
     params = {**gen.named_params(), **disc.named_params()}
     for name in sorted(params.keys() | arrays.keys()):
         if name not in arrays:

@@ -246,7 +246,7 @@ def encode(example, gen, table, cfg) -> np.ndarray:
 def sample_episode(dataset, allowed_classes, spec, rng, source_excludes="all",
                    with_source=True) -> Episode:
     """``episodes.sample_episode`` drawing from each pool array with
-    ``rng.choice(pool, ...)``, the array built afresh on every call; the
+    ``rng.choice(pool, ...)``, each source rule written out on its own; the
     input checks are left to the program's sampler."""
     need = spec.k_shot + spec.l_query
     allowed = sorted(allowed_classes)
@@ -256,7 +256,7 @@ def sample_episode(dataset, allowed_classes, spec, rng, source_excludes="all",
     local = {c: i for i, c in enumerate(classes)}
     support, query, sup_idx, qry_idx = [], [], [], []
     for c in classes:
-        pool = np.asarray(dataset.class_index[c], dtype=np.intp)
+        pool = dataset.class_index[c]
         pick = rng.choice(pool, size=need, replace=False)
         for j in pick[:spec.k_shot]:
             support.append((dataset.examples[j], local[c]))
@@ -267,14 +267,12 @@ def sample_episode(dataset, allowed_classes, spec, rng, source_excludes="all",
     src_idx = []
     if with_source:
         if source_excludes == "all":
-            pool = np.concatenate([np.asarray(dataset.class_index[c], dtype=np.intp)
-                                   for c in allowed if c not in local])
+            pool = np.concatenate([dataset.class_index[c] for c in allowed if c not in local])
             src_idx = [int(j) for j in rng.choice(pool, size=spec.n_way * spec.l_query,
                                                   replace=False)]
         else:
             for c in classes:
-                pool = np.concatenate([np.asarray(dataset.class_index[cc], dtype=np.intp)
-                                       for cc in allowed if cc != c])
+                pool = np.concatenate([dataset.class_index[cc] for cc in allowed if cc != c])
                 src_idx.extend(int(j) for j in rng.choice(pool, size=spec.l_query,
                                                           replace=False))
     return Episode(support=tuple(support), query=tuple(query),

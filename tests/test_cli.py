@@ -214,6 +214,18 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: ") and str(out) in err
 
+    def test_model_too_large_usage_error(self, synth_dir, tmp_path, capsys):
+        # weights beyond any 64-bit address space, so no allocation succeeds
+        config = tmp_path / "c.txt"
+        config.write_text("hidden=100000000000000\nn_way=2\nl_query=2\nn_train_classes=4\n"
+                          "n_val_classes=2\nn_test_classes=2\n")
+        rc = main(["train", "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: Unable to allocate")
+
     def test_data_error_unknown_config_key(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "c.txt"
         config.write_text("bogus_key=1\n")
@@ -228,6 +240,8 @@ class TestExitCodes:
         ("c.json", '{"lr": "fast"}', "'lr' has a value of the wrong type: 'fast'"),
         ("c.txt", "concat_fusion=maybe\n",
          "'concat_fusion' has a value of the wrong type: 'maybe'"),
+        # float() of this integer overflows
+        ("c.json", '{"lam": 1%s}' % ("0" * 400), "'lam' has a value of the wrong type: 1000"),
     ])
     def test_data_error_mistyped_config_value(self, name, text, shown, synth_dir,
                                               tmp_path, capsys):
@@ -450,10 +464,14 @@ def _inf_disc_b(payload):
     payload["arrays"]["disc.layer3.b"]["data"][1] = float("-inf")
 
 
+def _version_true(payload):
+    payload["format_version"] = True   # equal to 1, but no version number
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("corrupt", [_drop_attn_w, _short_data, _drop_lam, _hidden_99,
                                          _zero_disc_hidden, _widen_disc_input, _nan_attn_w,
-                                         _inf_disc_b])
+                                         _inf_disc_b, _version_true])
     def test_data_error_exit(self, corrupt, synth_dir, trained_dir, tmp_path, capsys):
         payload = json.loads((trained_dir / "checkpoint.json").read_text())
         corrupt(payload)
@@ -485,6 +503,26 @@ class TestMalformedCheckpoint:
         assert rc == 2
         assert key in err.partition("bad model config")[2]
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("lam", 10 ** 400, "OverflowError"),
+        # weights beyond any 64-bit address space, so no allocation succeeds
+        ("hidden", 10 ** 14, "MemoryError"),
+        ("hidden", 2 ** 70, "ValueError"),
+    ], ids=["lam_overflows_float", "hidden_too_large", "hidden_beyond_numpy"])
+    def test_unbuildable_config_data_error(self, key, value, shown, synth_dir, trained_dir,
+                                           tmp_path, capsys):
+        payload = json.loads((trained_dir / "checkpoint.json").read_text())
+        payload["config"][key] = value
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["eval", "--checkpoint", str(bad),
+                   "--data", str(synth_dir / "corpus.jsonl"),
+                   "--embeddings", str(synth_dir / "embeddings.vec"),
+                   "--n-episodes", "2", "--n-way", "2", "--k-shot", "1", "--l-query", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"data error: {bad}: bad model config: {shown}")
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_weight_refused_by_dump_attention(self, bad, synth_dir, trained_dir,
                                                          tmp_path, capsys):
@@ -511,7 +549,17 @@ _READERS = {   # the command that reads each input first, as argv
                              "--n-way", "2", "--k-shot", "1", "--l-query", "2"],
     "config": lambda f: ["train", "--data", f["corpus"], "--embeddings", f["embeddings"],
                          "--config", f["config"], "--out", f["out"]],
+    "split": lambda f: ["eval", "--checkpoint", f["checkpoint"], "--data", f["corpus"],
+                        "--embeddings", f["embeddings"], "--split", f["split"],
+                        "--n-episodes", "2", "--n-way", "2", "--k-shot", "1", "--l-query", "2"],
 }
+
+
+def _input_files(synth_dir, trained_dir, tmp_path):
+    """Each input _READERS reads, as a run wrote it, and an output directory."""
+    return {"corpus": synth_dir / "corpus.jsonl", "embeddings": synth_dir / "embeddings.vec",
+            "checkpoint": trained_dir / "checkpoint.json", "split": trained_dir / "split.json",
+            "config": trained_dir / "config.txt", "out": tmp_path / "run"}
 
 
 class TestNotUtf8:
@@ -521,10 +569,7 @@ class TestNotUtf8:
     @pytest.mark.parametrize("kind", sorted(_READERS))
     def test_data_error_names_file_and_line(self, kind, synth_dir, trained_dir, tmp_path,
                                             capsys):
-        files = {"corpus": synth_dir / "corpus.jsonl",
-                 "embeddings": synth_dir / "embeddings.vec",
-                 "checkpoint": trained_dir / "checkpoint.json",
-                 "config": trained_dir / "config.txt", "out": tmp_path / "run"}
+        files = _input_files(synth_dir, trained_dir, tmp_path)
         raw = files[kind].read_bytes()
         if kind == "checkpoint":   # one line; two bytes in its middle replaced
             middle = len(raw) // 2
@@ -540,3 +585,30 @@ class TestNotUtf8:
         assert rc == 2
         assert err.startswith(f"data error: {files[kind]}:{lineno}: not UTF-8 text: "
                               "'utf-8' codec can't decode byte 0x")
+
+
+class TestUnparsableJson:
+    """Every JSON input that Python's parser cannot turn into values, whether
+    nested deeper than it recurses or holding an integer longer than it
+    converts, is a data error naming the file (and the line of a corpus)."""
+
+    @pytest.mark.parametrize("value", ["[" * 200_000 + "]" * 200_000, "1" * 5000],
+                             ids=["deep", "long_int"])
+    @pytest.mark.parametrize("kind, what", [("corpus", "dataset"), ("config", "config"),
+                                            ("split", "split"), ("checkpoint", "checkpoint")])
+    def test_data_error_names_file(self, kind, what, value, synth_dir, trained_dir, tmp_path,
+                                   capsys):
+        files = _input_files(synth_dir, trained_dir, tmp_path)
+        bad = '{"text": "w0", "label": %s}' % value
+        if kind == "corpus":   # the bad object on line 3
+            lines = files[kind].read_text().splitlines()
+            bad, where = "\n".join(lines[:2] + [bad] + lines[2:]), ":3"
+        else:
+            where = ""
+        files[kind] = tmp_path / files[kind].name
+        files[kind].write_text(bad)
+        rc = main([str(arg) for arg in _READERS[kind](files)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"data error: {files[kind]}{where}: invalid {what} JSON: ")
+        assert captured.out == ""

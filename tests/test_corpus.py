@@ -111,6 +111,9 @@ class TestLoadJsonl:
         assert seen == list(range(9))
         for c, ix in ds.class_index.items():
             assert all(ds.examples[i].label == c for i in ix)
+            assert ix.dtype == np.intp and not ix.flags.writeable
+        # the index arrays take no part in equality, which they would make ambiguous
+        assert ds == load_jsonl_dataset(path)
 
     def test_custom_fields_and_truncation(self, tmp_path):
         path = tmp_path / "d.jsonl"

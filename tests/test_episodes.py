@@ -148,6 +148,16 @@ class TestSampleEpisode:
                             with_source=False)
         assert ep.source == ()
 
+    @pytest.mark.parametrize("with_source", [True, False])
+    def test_bad_source_excludes_raises_before_drawing(self, with_source):
+        ds = toy_dataset()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="source_excludes must be 'all' or 'current'"):
+            sample_episode(ds, ds.classes, EpisodeSpec(n_way=3, k_shot=1, l_query=1), rng,
+                           source_excludes="none", with_source=with_source)
+        assert rng.bit_generator.state == before
+
     def test_insufficient_classes(self):
         ds = toy_dataset(n_classes=3)
         spec = EpisodeSpec(n_way=4, k_shot=1, l_query=1)
