@@ -158,15 +158,18 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
     train classes, then measures episodic accuracy on the validation classes
     with the generator frozen (the ridge head is refit per episode); the
     validation episodes are sampled once, before the first epoch.  The
-    best-validation weights are restored at the end; training stops once
-    validation accuracy has not improved for ``patience`` consecutive epochs.
+    best-validation weights are restored at the end (their copy is first
+    taken at epoch 0's validation, so no copy is live before it); training
+    stops once validation accuracy has not improved for ``patience``
+    consecutive epochs.
 
     A non-finite loss, or a NumericalError raised inside an episode update,
     aborts with a diagnostic checkpoint rather than being skipped.  ``clock``
     supplies wall-time stamps for the metrics records.  A split from which
     some training draw (with its source set) or validation draw could not
     be served is refused before any output (SplitError; see
-    ``check_classes``); ``out_dir`` then gets ``split.json`` first.
+    ``check_classes``), and so are parameters too large to allocate
+    (MemoryError); only then does ``out_dir`` get ``split.json``.
     """
     for name, classes, excludes in (("train", split.train_classes, cfg.source_excludes),
                                     ("validation", split.val_classes, None)):
@@ -174,6 +177,11 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
             check_classes(dataset, classes, cfg.spec, excludes)
         except ValueError as exc:
             raise SplitError(f"{name} split: {exc}") from None
+    ss = np.random.SeedSequence(cfg.seed)
+    s_init, s_train, s_val = ss.spawn(3)
+    init_rng = np.random.default_rng(s_init)
+    gen = GeneratorParams.init(model_cfg, init_rng)
+    disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, init_rng)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -181,23 +189,18 @@ def train(dataset: Dataset, split: ClassSplit, cfg: TrainConfig, model_cfg: Mode
             json.dump({**{k: sorted(v) for k, v in dataclasses.asdict(split).items()},
                        "label_names": list(dataset.label_names)}, fh, indent=2)
 
-    ss = np.random.SeedSequence(cfg.seed)
-    s_init, s_train, s_val = ss.spawn(3)
-    init_rng = np.random.default_rng(s_init)
     train_rng = np.random.default_rng(s_train)
     # the same validation episodes every epoch, so accuracies are comparable
     val_rng = np.random.default_rng(s_val.generate_state(1)[0])
     val_episodes = [sample_episode(dataset, split.val_classes, cfg.spec, val_rng,
                                    with_source=False) for _ in range(cfg.val_episodes)]
 
-    gen = GeneratorParams.init(model_cfg, init_rng)
-    disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, init_rng)
     opt_gen = AdamState(lr=cfg.lr)
     opt_disc = AdamState(lr=cfg.lr)
 
     history: list[MetricsRecord] = []
     val_accuracies: list[float] = []
-    best = (gen.values.copy(), disc.values.copy())
+    best = None   # copied at the first validation, which always selects it
     best_epoch = -1
     t0 = clock()
 
@@ -493,7 +496,8 @@ def load_checkpoint(path):
         gen = GeneratorParams.init(model_cfg, rng)
         disc = DiscriminatorParams.init(model_cfg.encoder_dim, model_cfg.disc_hidden, rng)
     except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
-        raise DataError(f"{path}: bad model config: {exc!r}") from None
+        raise DataError(f"{path}: bad model config: "
+                        f"{type(exc).__name__}: {exc}") from None
     params = {**gen.named_params(), **disc.named_params()}
     for name in sorted(params.keys() | arrays.keys()):
         if name not in arrays:

@@ -225,6 +225,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: Unable to allocate")
+        assert not (tmp_path / "o" / "split.json").exists()
 
     def test_data_error_unknown_config_key(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "c.txt"
@@ -506,7 +507,7 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("key, value, shown", [
         ("lam", 10 ** 400, "OverflowError"),
         # weights beyond any 64-bit address space, so no allocation succeeds
-        ("hidden", 10 ** 14, "MemoryError"),
+        ("hidden", 10 ** 14, "MemoryError: Unable to allocate"),
         ("hidden", 2 ** 70, "ValueError"),
     ], ids=["lam_overflows_float", "hidden_too_large", "hidden_beyond_numpy"])
     def test_unbuildable_config_data_error(self, key, value, shown, synth_dir, trained_dir,

@@ -236,6 +236,35 @@ class TestTrain:
         gen, disc, cfg2 = load_checkpoint(tmp_path / "diagnostic_checkpoint.json")
         assert cfg2 == mcfg
 
+    def test_no_weight_snapshot_before_first_validation(self):
+        # weights dominate (d = 200, H = 32: one vector of all weights is
+        # 1.15 MB): after epoch 0's first episode a run holds four such
+        # vectors (values, gradients, Adam's m and v); the best-weights
+        # copy, a fifth, is first taken at epoch 0's validation
+        ds, table, vocab = gen_synthetic_corpus(6, 4, 4, 1, 4, 200, seed=0)
+        split = split_classes(ds.classes, (4, 2, 0), np.random.default_rng(0))
+        mcfg = ModelConfig(dim=200, hidden=32, max_len=4)
+        cfg = TrainConfig(spec=EpisodeSpec(n_way=2, k_shot=1, l_query=1), epochs=1,
+                          episodes_per_epoch=3, val_episodes=1)
+        rng = np.random.default_rng(0)
+        vector = (GeneratorParams.init(mcfg, rng).values.nbytes
+                  + DiscriminatorParams.init(mcfg.encoder_dim, mcfg.disc_hidden,
+                                             rng).values.nbytes)
+        stamps = []
+
+        def clock():
+            stamps.append(tracemalloc.get_traced_memory()[0])
+            return 0.0
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(ds, split, cfg, mcfg, table, clock=clock)
+        finally:
+            tracemalloc.stop()
+        assert len(stamps) == 4   # the start, then one stamp per episode
+        assert stamps[1] - base < 4.5 * vector
+
     def test_no_adversarial_training_runs(self):
         ds, table, vocab, split, spec, _ = small_setup()
         mcfg = ModelConfig(dim=12, hidden=6, lam=0.5, max_len=8,
