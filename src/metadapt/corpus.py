@@ -27,18 +27,9 @@ class DataError(Exception):
 
 
 def read_utf8(path, what: str) -> str:
-    """The whole of a UTF-8 text file; a file that cannot be read or decoded
-    raises DataError naming it, and the line of the first byte that does
-    not decode."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot open {what} {path}: {exc}") from None
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw[:exc.start].count(b"\n") + 1
-        raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+    """The whole of a UTF-8 text file, line breaks read as ``\\n``; raises
+    DataError as _text_lines does."""
+    return "".join(line for _, line in _text_lines(path, what))
 
 
 def parse_json(text: str, where, what: str, object_hook=None):

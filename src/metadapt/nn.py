@@ -22,8 +22,7 @@ its two directions on two threads when BLAS runs one thread per call
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,8 +393,6 @@ def _cpu_count() -> int:
 
 # read once: BLAS reads its variables once, when numpy loads it
 _SPLIT_ALLOWED = _split_allowed(os.environ, _blas_name(), _cpu_count())
-_worker = None
-_worker_lock = threading.Lock()
 
 
 def _split_directions(T: int, B: int, H: int) -> bool:
@@ -405,21 +402,15 @@ def _split_directions(T: int, B: int, H: int) -> bool:
 
 def _run_directions(forward, backward, split: bool):
     """(forward(), backward()): in order on this thread, or with backward()
-    on a long-lived worker thread while forward() runs here.  The worker is
-    always joined before this returns or raises, so it never writes into a
-    buffer its caller still uses; an exception from either side reaches the
-    caller."""
+    on a worker thread of this call's own while forward() runs here.  The
+    worker is joined before this returns or raises, so it never writes into
+    a buffer its caller still uses and nothing is left running between
+    calls; an exception from either side reaches the caller."""
     if not split:
         return forward(), backward()
-    global _worker
-    with _worker_lock:   # callers on several threads share one worker
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="metadapt-bilstm")
-    future = _worker.submit(backward)
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="metadapt-bilstm") as worker:
+        future = worker.submit(backward)
         out = forward()
-    finally:
-        wait((future,))
     return out, future.result()
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -515,19 +516,11 @@ class TestSplitDirections:
             nn._run_directions(forward, backward, True)
         assert finished.is_set()
 
-    def test_callers_on_several_threads_share_one_worker(self, monkeypatch):
+    def test_callers_on_several_threads(self, monkeypatch):
         instances = [self.instance(seed) for seed in range(4)]
         split_directions(monkeypatch, False)
         want = [self.forward_backward(*args) for args in instances]
         split_directions(monkeypatch, True)
-        monkeypatch.setattr(nn, "_worker", None)
-        created = []
-        real = nn.ThreadPoolExecutor
-
-        def counting(*args, **kwargs):
-            created.append(real(*args, **kwargs))
-            return created[-1]
-        monkeypatch.setattr(nn, "ThreadPoolExecutor", counting)
         got = [None] * len(instances)
         start = threading.Barrier(len(instances), timeout=60)
 
@@ -546,7 +539,8 @@ class TestSplitDirections:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(created) == 1
+        # each call joined its worker before it returned
+        assert not any(t.name.startswith("metadapt-bilstm") for t in threading.enumerate())
         for w, g in zip(want, got):
             for a, b in zip(w, g):
                 assert np.array_equal(a, b)
@@ -586,10 +580,39 @@ class TestSplitDirections:
             env["OPENBLAS_NUM_THREADS"] = env["MKL_NUM_THREADS"] = threads
         env["PYTHONPATH"] = str(Path(metadapt.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", "from metadapt import nn; "
-                              "print(nn._SPLIT_ALLOWED, nn._worker)"],
+                              "import threading; "
+                              "print(nn._SPLIT_ALLOWED, threading.active_count())"],
                              env=env, capture_output=True, text=True, timeout=60, check=True)
         allowed = threads is not None and nn._cpu_count() >= 2
-        assert out.stdout.split() == [str(allowed), "None"]   # importing starts no thread
+        assert out.stdout.split() == [str(allowed), "1"]   # importing starts no thread
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_splits(self):
+        # a child forked after a split runs its own first split; the parent
+        # kills a child that hangs, so no process outlives the script
+        script = textwrap.dedent("""
+            import os, signal, sys, time
+            from metadapt import nn
+
+            nn._run_directions(lambda: 1, lambda: 2, True)
+            pid = os.fork()
+            if pid == 0:
+                nn._run_directions(lambda: 1, lambda: 2, True)
+                os._exit(0)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    sys.exit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.05)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            sys.exit("child hung at its first split")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(metadapt.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", script],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
 
 
 def token_batch(rng, d, U, lengths):
